@@ -148,7 +148,6 @@ def main() -> int:
     assert_ledgers_match(
         first.snapshot(),
         second.snapshot(),
-        compare_draws=True,
         context="serial replay",
     )
     check(bool(first.snapshot()), "ledgers: serial replay draws matched streams")

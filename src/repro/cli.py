@@ -14,12 +14,12 @@ Sub-commands
 ``tsajs worker QUEUE_DIR [--drain]``
     Drain task files from a ``run --backend queue --queue-dir`` sweep;
     run any number of workers, on any machine sharing the directory.
-``tsajs solve [--users U --servers S --subbands N --delta --batch ...]``
+``tsajs solve [--users U --servers S --subbands N --delta ...]``
     Solve a single random instance with the selected schemes and print
     the utilities side by side — a one-command demo of the library.
-    ``--delta`` switches TSAJS to the incremental evaluation path;
-    ``--batch [--batch-size B]`` to the vectorized batch path (both are
-    bit-identical to the scalar path).
+    ``--delta`` switches TSAJS to the incremental evaluation path
+    (bit-identical to the scalar path); ``--sanitize`` replays the solve
+    on both paths and checks the RNG ledgers and utilities match.
 ``tsajs schemes``
     List the scheme names accepted by ``solve --schemes``.
 ``tsajs episode [--pool P --slots T --outage q ...]``
@@ -263,21 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     solve_parser.add_argument(
-        "--batch",
-        action="store_true",
-        help=(
-            "score speculative move batches with the vectorized batch "
-            "evaluator; bit-identical results, lower wall-clock time"
-        ),
-    )
-    solve_parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=64,
-        metavar="B",
-        help="moves per vectorized round with --batch (default 64)",
-    )
-    solve_parser.add_argument(
         "--delta",
         action="store_true",
         help=(
@@ -335,10 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sanitize",
         action="store_true",
         help=(
-            "replay the solve under scalar, delta and batch evaluation "
+            "replay the solve under scalar and delta evaluation "
             "with the determinism sanitizer and assert per-stream RNG "
             "ledgers and utilities are identical (overrides "
-            "--delta/--batch; incompatible with --trace)"
+            "--delta; incompatible with --trace)"
         ),
     )
 
@@ -704,7 +689,6 @@ def _cmd_run_sanitized(
         assert_ledgers_match(
             snapshots[0],
             snapshots[1],
-            compare_draws=True,
             context="serial run replay",
         )
     except DeterminismViolation as exc:
@@ -862,8 +846,6 @@ def _cmd_solve_body(args: argparse.Namespace) -> int:
         workload_megacycles=args.workload_mc,
         input_kb=args.input_kb,
         use_delta=args.delta,
-        use_batch=args.batch,
-        batch_size=args.batch_size,
         use_sharding=args.shard,
         cluster_radius_km=args.cluster_radius,
         interference_radius_km=args.interference_radius,
@@ -884,8 +866,6 @@ def _cmd_solve_body(args: argparse.Namespace) -> int:
         names,
         quick=args.quick,
         use_delta=config.use_delta,
-        use_batch=config.use_batch,
-        batch_size=config.batch_size,
         use_sharding=config.use_sharding,
         cluster_radius_km=config.cluster_radius_km,
         interference_radius_km=config.interference_radius_km,
@@ -903,32 +883,26 @@ def _cmd_solve_body(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_sanitized(args: argparse.Namespace) -> int:
-    """Replay the solve under all three evaluators with ledger checks.
+    """Replay the solve under both evaluators with ledger checks.
 
-    Scalar vs delta must agree draw-for-draw; scalar vs batch must agree
-    on final stream states (the batch evaluator draws speculative
-    uniforms and rewinds, so its draw *counts* legitimately differ) and
-    on every utility bit.
+    Scalar and delta must agree draw-for-draw, on every final stream
+    state and on every utility bit (sharded solves included).
     """
     from repro.errors import DeterminismViolation
     from repro.experiments.schemes import build_schemes
     from repro.sanitize import assert_ledgers_match, sanitized
 
     names = [name.strip() for name in args.schemes.split(",") if name.strip()]
-    modes = (
-        ("scalar", False, False),
-        ("delta", True, False),
-        ("batch", False, True),
-    )
+    modes = (("scalar", False), ("delta", True))
     shard_tag = " sharded" if args.shard else ""
     print(
         f"instance: U={args.users} S={args.servers} N={args.subbands} "
         f"w={args.workload_mc:.0f} Mc d={args.input_kb:.0f} KB "
-        f"seed={args.seed} [sanitize: scalar/delta/batch{shard_tag} replay]"
+        f"seed={args.seed} [sanitize: scalar/delta{shard_tag} replay]"
     )
     snapshots = {}
     utilities: Dict[str, Dict[str, float]] = {}
-    for mode_name, use_delta, use_batch in modes:
+    for mode_name, use_delta in modes:
         config = SimulationConfig(
             n_users=args.users,
             n_servers=args.servers,
@@ -936,8 +910,6 @@ def _cmd_solve_sanitized(args: argparse.Namespace) -> int:
             workload_megacycles=args.workload_mc,
             input_kb=args.input_kb,
             use_delta=use_delta,
-            use_batch=use_batch,
-            batch_size=args.batch_size,
             use_sharding=args.shard,
             cluster_radius_km=args.cluster_radius,
             interference_radius_km=args.interference_radius,
@@ -949,8 +921,6 @@ def _cmd_solve_sanitized(args: argparse.Namespace) -> int:
                 names,
                 quick=args.quick,
                 use_delta=use_delta,
-                use_batch=use_batch,
-                batch_size=args.batch_size,
                 use_sharding=config.use_sharding,
                 cluster_radius_km=config.cluster_radius_km,
                 interference_radius_km=config.interference_radius_km,
@@ -967,14 +937,7 @@ def _cmd_solve_sanitized(args: argparse.Namespace) -> int:
         assert_ledgers_match(
             snapshots["scalar"],
             snapshots["delta"],
-            compare_draws=True,
             context="scalar vs delta replay",
-        )
-        assert_ledgers_match(
-            snapshots["scalar"],
-            snapshots["batch"],
-            compare_draws=False,
-            context="scalar vs batch replay",
         )
     except DeterminismViolation as exc:
         print(f"SANITIZER FAILED: {exc}", file=sys.stderr)
@@ -994,12 +957,12 @@ def _cmd_solve_sanitized(args: argparse.Namespace) -> int:
     for name in sorted(utilities):
         print(
             f"{name:12s} utility={utilities[name]['scalar']:10.4f} "
-            "(bitwise-identical across scalar/delta/batch)"
+            "(bitwise-identical across scalar/delta)"
         )
     n_streams = len(snapshots["scalar"])
     print(
         f"[sanitize: {n_streams} RNG stream ledgers identical across "
-        "3 replays]"
+        f"{len(modes)} replays]"
     )
     return 0
 

@@ -24,7 +24,7 @@ bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Generic, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -134,11 +134,6 @@ class ThresholdTriggeredAnnealer:
             Callable[[State, Tuple[int, ...]], float]
         ] = None,
         recorder: Optional[Recorder] = None,
-        batch_objective: Optional[
-            Callable[[Sequence[Tuple[State, Tuple[int, ...]]]], np.ndarray]
-        ] = None,
-        batch_commit: Optional[Callable[[State, Tuple[int, ...]], None]] = None,
-        batch_size: int = 0,
     ) -> AnnealingResult[State]:
         """Maximise ``objective`` from ``initial_state``.
 
@@ -169,46 +164,9 @@ class ThresholdTriggeredAnnealer:
             RNG stream as ``propose_move`` for the two modes to walk
             identical chains, as :class:`NeighborhoodSampler` does).
             ``objective`` still scores the initial state.
-        batch_objective, batch_commit, batch_size:
-            *Vectorized batch* mode (pass all three, plus ``propose_move``).
-            Each round speculatively proposes up to ``batch_size`` moves
-            from the incumbent (recording the RNG state after each
-            proposal and drawing one speculative Metropolis uniform per
-            move), scores them all with one ``batch_objective`` call, and
-            scans the value vector under exact scalar acceptance
-            semantics.  The speculation template assumes every move is a
-            rejected worsened one; the scan stops at the first move that
-            breaks it — an accepted move, or a ``-inf`` delta (which
-            consumes no uniform on the scalar path) — rewinding the RNG
-            to the recorded pre-uniform state when the scalar path would
-            not have drawn it and discarding the stale tail of the batch.
-            The accepted-move chain, every counter and the RNG stream are
-            therefore bit-for-bit identical to the scalar path;
-            ``batch_commit(candidate, touched)`` is invoked exactly on
-            acceptance so the batch evaluator's cache tracks the
-            incumbent.
         """
         sched = self.schedule
-        batch_mode = batch_objective is not None
-        if batch_mode:
-            if batch_commit is None or propose_move is None:
-                raise ConfigurationError(
-                    "batch mode needs propose_move, batch_objective and "
-                    "batch_commit together"
-                )
-            if batch_size < 1:
-                raise ConfigurationError(
-                    f"batch_size must be >= 1 in batch mode, got {batch_size}"
-                )
-            if move_objective is not None:
-                raise ConfigurationError(
-                    "batch mode and move_objective are mutually exclusive"
-                )
-        elif batch_commit is not None or batch_size:
-            raise ConfigurationError(
-                "batch_commit/batch_size require batch_objective"
-            )
-        elif (propose_move is None) != (move_objective is None):
+        if (propose_move is None) != (move_objective is None):
             raise ConfigurationError(
                 "propose_move and move_objective must be provided together"
             )
@@ -259,124 +217,48 @@ class ThresholdTriggeredAnnealer:
             alpha_slow=sched.alpha_slow,
             alpha_fast=sched.alpha_fast,
             delta_mode=delta_mode,
-            batch_mode=batch_mode,
-            batch_size=batch_size,
         )
         while temperature > sched.min_temperature:
-            if batch_mode:
-                assert propose_move is not None  # validated above
-                assert batch_objective is not None and batch_commit is not None
-                steps_left = sched.chain_length
-                while steps_left > 0:
-                    count = min(batch_size, steps_left)
-                    proposals: List[Tuple[State, Tuple[int, ...]]] = []
-                    pre_uniform_states: List[Any] = []
-                    post_uniform_states: List[Any] = []
-                    uniforms: List[float] = []
-                    for _ in range(count):
-                        proposals.append(propose_move(current, rng))
-                        pre_uniform_states.append(rng.bit_generator.state)
-                        uniforms.append(rng.random())
-                        post_uniform_states.append(rng.bit_generator.state)
-                    values = batch_objective(proposals)
-                    consumed = count
-                    for i in range(count):
-                        if step_events:
-                            prev_accepted = accepted_moves
-                            prev_worse = accepted_worse
-                        iterations += 1
-                        candidate, touched = proposals[i]
-                        candidate_value = float(values[i])
-                        delta = candidate_value - current_value
-                        accepted = False
-                        stop = False
-                        if delta > 0:
-                            # The scalar path consumes no Metropolis
-                            # uniform for an improving move: rewind to the
-                            # recorded post-proposal state, discarding the
-                            # speculative uniform and the stale tail.
-                            rng.bit_generator.state = pre_uniform_states[i]
-                            accepted = True
-                            stop = True
-                        elif delta > -np.inf:
-                            if np.exp(delta / temperature) > uniforms[i]:
-                                # The uniform was legitimately consumed,
-                                # but the tail proposals were drawn from
-                                # the pre-acceptance incumbent: rewind to
-                                # just after this move's uniform.
-                                rng.bit_generator.state = post_uniform_states[i]
-                                accepted = True
-                                accepted_worse += 1
-                                stop = True
-                            # else: a rejected worsened move — exactly the
-                            # speculation template; the stream stays valid.
-                        else:
-                            # -inf (or NaN) delta short-circuits the
-                            # scalar acceptance test before the uniform;
-                            # rewind and discard the stale tail.
-                            rng.bit_generator.state = pre_uniform_states[i]
-                            stop = True
-                        if accepted:
-                            current, current_value = candidate, candidate_value
-                            accepted_moves += 1
-                            batch_commit(candidate, touched)
-                            if current_value > best_value:
-                                best, best_value = current, current_value
-                        if step_events:
-                            rec.event(
-                                "anneal.step",
-                                iteration=iterations,
-                                temperature=temperature,
-                                delta=float(delta),
-                                accepted=accepted_moves != prev_accepted,
-                                worse=accepted_worse != prev_worse,
-                                accepted_worse=accepted_worse,
-                            )
-                        if stop:
-                            consumed = i + 1
-                            break
-                    steps_left -= consumed
-            else:
-                for _ in range(sched.chain_length):
-                    if step_events:
-                        prev_accepted = accepted_moves
-                        prev_worse = accepted_worse
-                    iterations += 1
-                    if delta_mode:
-                        assert propose_move is not None and move_objective is not None
-                        candidate, touched = propose_move(current, rng)
-                        candidate_value = move_objective(candidate, touched + carry)
-                    else:
-                        touched = ()
-                        candidate = propose(current, rng)
-                        candidate_value = objective(candidate)
-                    delta = candidate_value - current_value
-                    if delta > 0:
+            for _ in range(sched.chain_length):
+                if step_events:
+                    prev_accepted = accepted_moves
+                    prev_worse = accepted_worse
+                iterations += 1
+                if delta_mode:
+                    assert propose_move is not None and move_objective is not None
+                    candidate, touched = propose_move(current, rng)
+                    candidate_value = move_objective(candidate, touched + carry)
+                else:
+                    touched = ()
+                    candidate = propose(current, rng)
+                    candidate_value = objective(candidate)
+                delta = candidate_value - current_value
+                if delta > 0:
+                    current, current_value = candidate, candidate_value
+                    accepted_moves += 1
+                    carry = ()
+                    if current_value > best_value:
+                        best, best_value = current, current_value
+                else:
+                    # Accept a worsened solution with probability
+                    # exp(delta / T); count it toward the trigger.
+                    if delta > -np.inf and np.exp(delta / temperature) > rng.random():
                         current, current_value = candidate, candidate_value
+                        accepted_worse += 1
                         accepted_moves += 1
                         carry = ()
-                        if current_value > best_value:
-                            best, best_value = current, current_value
                     else:
-                        # Accept a worsened solution with probability
-                        # exp(delta / T); count it toward the trigger.
-                        if delta > -np.inf and np.exp(delta / temperature) > rng.random():
-                            current, current_value = candidate, candidate_value
-                            accepted_worse += 1
-                            accepted_moves += 1
-                            carry = ()
-                        else:
-                            carry = touched
-                    if step_events:
-                        rec.event(
-                            "anneal.step",
-                            iteration=iterations,
-                            temperature=temperature,
-                            delta=float(delta),
-                            accepted=accepted_moves != prev_accepted,
-                            worse=accepted_worse != prev_worse,
-                            accepted_worse=accepted_worse,
-                        )
+                        carry = touched
+                if step_events:
+                    rec.event(
+                        "anneal.step",
+                        iteration=iterations,
+                        temperature=temperature,
+                        delta=float(delta),
+                        accepted=accepted_moves != prev_accepted,
+                        worse=accepted_worse != prev_worse,
+                        accepted_worse=accepted_worse,
+                    )
             if record_trace:
                 result.temperature_trace.append(temperature)
                 result.best_trace.append(best_value)

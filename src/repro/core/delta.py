@@ -27,7 +27,10 @@ invariants make this work; keep them in lockstep with
 1. every ``total_rx[j][s]`` bucket always equals the *sequential,
    ascending-user-order* sum of its current occupants' ``rx`` rows —
    the accumulation order ``np.add.at`` uses in
-   :func:`~repro.net.sinr.compute_link_stats`;
+   :func:`~repro.net.sinr.compute_link_stats` — plus, when the
+   evaluator carries a frozen ``external_rx`` matrix (the sharded
+   scheduler's boundary coupling), that band's external row added
+   *after* the occupant sum, as ``total_rx + external_rx`` does there;
 2. per-user terms (signal, SINR, net benefit) are elementwise IEEE
    formulas, so recomputing them with scalar Python floats (which *are*
    IEEE doubles) yields the same bits as the full vectorised
@@ -65,7 +68,6 @@ import numpy as np
 
 from repro.core.decision import LOCAL, OffloadingDecision
 from repro.core.objective import ObjectiveEvaluator
-from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.sim.scenario import Scenario
@@ -81,12 +83,9 @@ class DeltaEvaluator(ObjectiveEvaluator):
     """
 
     def __init__(
-        self,
-        scenario: "Scenario",
-        *,
-        share_constants_from: Optional["DeltaEvaluator"] = None,
+        self, scenario: "Scenario", external_rx: Optional[np.ndarray] = None
     ) -> None:
-        super().__init__(scenario)
+        super().__init__(scenario, external_rx=external_rx)
         #: Incremental (touched-set) evaluations vs O(U) vector-diff ones;
         #: plain int telemetry read by the scheduler's observability event
         #: (``fast_evals + full_evals == evaluations`` at all times).
@@ -94,38 +93,24 @@ class DeltaEvaluator(ObjectiveEvaluator):
         #: the annealer's inner loop pays nothing for the bookkeeping.
         self.fast_evals = 0
         self.full_evals = 0
-        if share_constants_from is not None:
-            # Alias the immutable per-scenario constants of an existing
-            # evaluator instead of re-materialising them (the gain copy is
-            # the expensive part: U*N*S Python floats).  Used by the
-            # parallel-tempering chains, which all score the same scenario.
-            if share_constants_from.scenario is not scenario:
-                raise ConfigurationError(
-                    "share_constants_from must wrap the same scenario object"
-                )
-            src = share_constants_from
-            self._p_list = src._p_list
-            self._sqrt_eta_list = src._sqrt_eta_list
-            self._comm_list = src._comm_list
-            self._gain_list = src._gain_list
-            self._noise = src._noise
-            self._n_servers = src._n_servers
-            self._cpu_hz = src._cpu_hz
-            self._gain_rows = src._gain_rows
-        else:
-            # Python-native copies of the constants read per move: list
-            # indexing returns ready-made floats, numpy scalar indexing
-            # allocates a wrapper object each time.  float() is exact, so
-            # scalar arithmetic on these matches numpy's kernels bitwise.
-            self._p_list = scenario.tx_power_watts.tolist()
-            self._sqrt_eta_list = scenario.sqrt_eta.tolist()
-            self._comm_list = scenario.comm_weight.tolist()
-            self._gain_list = scenario.offload_gain.tolist()
-            self._noise = float(scenario.noise_watts)
-            self._n_servers = scenario.n_servers
-            self._cpu_hz = scenario.server_cpu_hz
-            #: ``_gain_rows[u][j][s]`` = ``h[u, s, j]``, band-major.
-            self._gain_rows = scenario.gains.transpose(0, 2, 1).tolist()
+        # Python-native copies of the constants read per move: list
+        # indexing returns ready-made floats, numpy scalar indexing
+        # allocates a wrapper object each time.  float() is exact, so
+        # scalar arithmetic on these matches numpy's kernels bitwise.
+        self._p_list = scenario.tx_power_watts.tolist()
+        self._sqrt_eta_list = scenario.sqrt_eta.tolist()
+        self._comm_list = scenario.comm_weight.tolist()
+        self._gain_list = scenario.offload_gain.tolist()
+        self._noise = float(scenario.noise_watts)
+        self._n_servers = scenario.n_servers
+        self._cpu_hz = scenario.server_cpu_hz
+        #: ``_gain_rows[u][j][s]`` = ``h[u, s, j]``, band-major.
+        self._gain_rows = scenario.gains.transpose(0, 2, 1).tolist()
+        #: ``_external_rows[j][s]``: frozen out-of-instance received power,
+        #: added to a band's bucket after its occupant sum (invariant 1).
+        self._external_rows: Optional[List[List[float]]] = (
+            None if self.external_rx is None else self.external_rx.tolist()
+        )
         self.rebuild()
 
     # --- Cache lifecycle ---------------------------------------------------
@@ -140,7 +125,11 @@ class DeltaEvaluator(ObjectiveEvaluator):
         self._band_users: List[List[int]] = [[] for _ in range(n_subbands)]
         #: Current received-power row of each offloaded user.
         self._rx_rows: List[Optional[List[float]]] = [None] * n_users
-        self._total_rx = [[0.0] * n_servers for _ in range(n_subbands)]
+        self._total_rx = (
+            [list(row) for row in self._external_rows]
+            if self._external_rows is not None
+            else [[0.0] * n_servers for _ in range(n_subbands)]
+        )
         self._signal = [0.0] * n_users
         self._se = [0.0] * n_users
         self._net = np.zeros(n_users)
@@ -271,6 +260,7 @@ class DeltaEvaluator(ObjectiveEvaluator):
         # are visited in sorted order: each bucket is rebuilt independently,
         # so the order cannot change values, only make it deterministic.
         total_rx = self._total_rx
+        external_rows = self._external_rows
         affected: List[int] = []
         for band in sorted(bands):
             occupants = self._band_users[band]
@@ -281,8 +271,14 @@ class DeltaEvaluator(ObjectiveEvaluator):
                     row = rx_rows[u]
                     for s, value in enumerate(row):
                         bucket[s] += value
+                if external_rows is not None:
+                    for s, value in enumerate(external_rows[band]):
+                        bucket[s] += value
                 total_rx[band] = bucket
                 affected.extend(occupants)
+            elif external_rows is not None:
+                # An empty band holds only the frozen external power.
+                total_rx[band] = list(external_rows[band])
             else:
                 total_rx[band] = [0.0] * len(total_rx[band])
         if affected:
@@ -328,24 +324,6 @@ class DeltaEvaluator(ObjectiveEvaluator):
                     self._n_dead += 1
                 net[u] = 0.0
 
-    def _settle_kkt(self) -> None:
-        """Recompute the cached ``Lambda(X, F*)`` cost if it is stale.
-
-        The recomputation runs over the same fixed-length masked arrays
-        as the full path, so settling at any time is exact; the batch
-        evaluator calls this before staging so clean candidates can reuse
-        ``_lambda_cost`` even when ``_value`` early-returned (all-local or
-        dead-user incumbents skip the lazy settle below).
-        """
-        if self._kkt_dirty:
-            root_sums = np.bincount(
-                self._idx, weights=self._w, minlength=self._n_servers
-            )
-            self._lambda_cost = float(
-                np.add.reduce(root_sums * root_sums / self._cpu_hz)
-            )
-            self._kkt_dirty = False
-
     def _value(self) -> float:
         if self._n_offloaded == 0:
             return 0.0
@@ -355,5 +333,12 @@ class DeltaEvaluator(ObjectiveEvaluator):
         # np.add.reduce is exactly ndarray.sum's pairwise kernel.  The
         # KKT cost is recomputed from the same masked arrays whenever
         # they changed, so caching it across channel-only moves is exact.
-        self._settle_kkt()
+        if self._kkt_dirty:
+            root_sums = np.bincount(
+                self._idx, weights=self._w, minlength=self._n_servers
+            )
+            self._lambda_cost = float(
+                np.add.reduce(root_sums * root_sums / self._cpu_hz)
+            )
+            self._kkt_dirty = False
         return float(np.add.reduce(self._net)) - self._lambda_cost

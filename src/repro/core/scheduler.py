@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.allocation import kkt_allocation
 from repro.core.annealing import AnnealingSchedule, ThresholdTriggeredAnnealer
-from repro.core.batch import BatchEvaluator
 from repro.core.decision import OffloadingDecision
 from repro.core.delta import DeltaEvaluator
 from repro.core.neighborhood import NeighborhoodSampler
@@ -103,13 +102,6 @@ class TsajsScheduler:
         bit-for-bit equal to the full path, so with a fixed RNG the two
         settings produce the exact same decision, allocation and
         utility — this is purely a wall-clock optimisation.
-    use_batch, batch_size:
-        Score whole speculative neighbourhoods with the vectorized
-        :class:`~repro.core.batch.BatchEvaluator` (one NumPy shot per
-        up-to-``batch_size`` candidate moves).  Like the delta path this
-        is bitwise equal to the scalar path — identical accepted-move
-        chain, trajectory and RNG stream — and purely a wall-clock
-        optimisation; mutually exclusive with ``use_delta``.
     evaluator_factory:
         Builds the objective evaluator for a scenario; override to plug in
         extended objectives (e.g. the downlink-aware evaluator).  With
@@ -127,8 +119,6 @@ class TsajsScheduler:
         initial_offload_probability: float = 0.5,
         record_trace: bool = False,
         use_delta: bool = False,
-        use_batch: bool = False,
-        batch_size: int = 64,
         evaluator_factory: Optional[
             Callable[["Scenario"], ObjectiveEvaluator]
         ] = None,
@@ -138,13 +128,6 @@ class TsajsScheduler:
                 "initial_offload_probability must lie in [0, 1], got "
                 f"{initial_offload_probability}"
             )
-        if use_delta and use_batch:
-            raise ConfigurationError(
-                "use_delta and use_batch are mutually exclusive evaluation "
-                "modes (both are bitwise equal to the scalar path)"
-            )
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         self.schedule_params = schedule if schedule is not None else AnnealingSchedule()
         self.neighborhood = (
             neighborhood if neighborhood is not None else NeighborhoodSampler()
@@ -152,15 +135,8 @@ class TsajsScheduler:
         self.initial_offload_probability = initial_offload_probability
         self.record_trace = record_trace
         self.use_delta = use_delta
-        self.use_batch = use_batch
-        self.batch_size = batch_size
         if evaluator_factory is None:
-            if use_batch:
-                evaluator_factory = BatchEvaluator
-            elif use_delta:
-                evaluator_factory = DeltaEvaluator
-            else:
-                evaluator_factory = ObjectiveEvaluator
+            evaluator_factory = DeltaEvaluator if use_delta else ObjectiveEvaluator
         self.evaluator_factory = evaluator_factory
 
     def schedule(
@@ -192,8 +168,6 @@ class TsajsScheduler:
             n_servers=scenario.n_servers,
             n_subbands=scenario.n_subbands,
             use_delta=self.use_delta,
-            use_batch=self.use_batch,
-            batch_size=self.batch_size if self.use_batch else 0,
             warm_start=initial is not None,
         ):
             evaluator = self.evaluator_factory(scenario)
@@ -223,20 +197,7 @@ class TsajsScheduler:
                 initial = initial.copy()
             annealer = ThresholdTriggeredAnnealer(self.schedule_params)
             delta_kwargs: Dict[str, Any] = {}
-            if self.use_batch:
-                if not hasattr(evaluator, "evaluate_batch"):
-                    raise ConfigurationError(
-                        "use_batch=True needs an evaluator with evaluate_batch "
-                        f"(got {type(evaluator).__name__}); use BatchEvaluator "
-                        "or a subclass as the evaluator_factory"
-                    )
-                delta_kwargs = dict(
-                    propose_move=self.neighborhood.propose_move,
-                    batch_objective=evaluator.evaluate_batch,
-                    batch_commit=evaluator.commit,
-                    batch_size=self.batch_size,
-                )
-            elif self.use_delta:
+            if self.use_delta:
                 if not hasattr(evaluator, "evaluate_move"):
                     raise ConfigurationError(
                         "use_delta=True needs an evaluator with evaluate_move "
@@ -270,17 +231,13 @@ class TsajsScheduler:
             allocation = kkt_allocation(scenario, best)
             if rec.enabled:
                 fast_evals = int(getattr(evaluator, "fast_evals", 0))
-                batch_evals = int(getattr(evaluator, "batch_evals", 0))
                 rec.event(
                     "scheduler.result",
                     scheme=self.name,
                     utility=float(utility),
                     evaluations=evaluator.evaluations,
                     fast_evals=fast_evals,
-                    batch_evals=batch_evals,
-                    batch_rounds=int(getattr(evaluator, "batch_rounds", 0)),
-                    batch_commits=int(getattr(evaluator, "batch_commits", 0)),
-                    full_evals=evaluator.evaluations - fast_evals - batch_evals,
+                    full_evals=evaluator.evaluations - fast_evals,
                     accepted_moves=outcome.accepted_moves,
                     fast_coolings=outcome.fast_coolings,
                     n_offloaded=int(best.n_offloaded()),

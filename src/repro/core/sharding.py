@@ -4,8 +4,8 @@
 along the spatial partition of :mod:`repro.core.partition`:
 
 1. every cluster is extracted as an independent sub-scenario and solved
-   by a plain :class:`~repro.core.scheduler.TsajsScheduler` (any of the
-   scalar/delta/batch evaluation paths);
+   by a plain :class:`~repro.core.scheduler.TsajsScheduler` (on the
+   scalar or the delta evaluation path);
 2. the per-cluster decisions are stitched into one global decision —
    feasible by construction, since a cluster's users only occupy slots
    of the cluster's own stations;
@@ -13,7 +13,9 @@ along the spatial partition of :mod:`repro.core.partition`:
    clusters with the out-of-cluster interference frozen into the
    objective (``external_rx``) and the stitched decision as the
    ``schedule(initial=...)`` warm start, accepting a cluster's update
-   only when the *globally* evaluated utility improves.
+   only when the *globally* evaluated utility improves.  These
+   re-anneals run on the same evaluation path as the cluster solves
+   (``use_delta``); both evaluators model ``external_rx`` bit for bit.
 
 Determinism contract: with a fixed input generator the full run is a
 pure function of ``(scenario, seed)``.  The caller's generator is used
@@ -24,7 +26,7 @@ execution-order concern.  When the partition yields a **single**
 cluster the caller's generator is handed to the inner scheduler
 unchanged and the inner result is returned verbatim (modulo an identity
 index mapping), making the sharded solve bitwise identical to the
-global scalar/delta/batch paths — the gate pinned by
+global scalar/delta paths — the gate pinned by
 ``tests/test_sharded_equivalence.py``.
 
 ``ShardedScheduler`` implements the ordinary
@@ -45,6 +47,7 @@ import numpy as np
 from repro.core.allocation import kkt_allocation
 from repro.core.annealing import AnnealingSchedule
 from repro.core.decision import OffloadingDecision
+from repro.core.delta import DeltaEvaluator
 from repro.core.neighborhood import NeighborhoodSampler
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.partition import (
@@ -86,11 +89,11 @@ class ShardedScheduler:
         Fixed-point iteration cap for the boundary pass; ``0`` disables
         reconciliation entirely.
     schedule, neighborhood, initial_offload_probability, record_trace,
-    use_delta, use_batch, batch_size:
-        Forwarded to the inner per-cluster
-        :class:`~repro.core.scheduler.TsajsScheduler` instances.  With
-        ``record_trace`` the result's trace is the concatenation of the
-        per-cluster traces in cluster order.
+    use_delta:
+        Forwarded to the inner :class:`~repro.core.scheduler.TsajsScheduler`
+        instances, both the per-cluster solves and the boundary
+        re-anneals.  With ``record_trace`` the result's trace is the
+        concatenation of the per-cluster traces in cluster order.
     """
 
     name = "TSAJS-Shard"
@@ -105,8 +108,6 @@ class ShardedScheduler:
         initial_offload_probability: float = 0.5,
         record_trace: bool = False,
         use_delta: bool = False,
-        use_batch: bool = False,
-        batch_size: int = 64,
     ) -> None:
         if not cluster_radius_km > 0.0:
             raise ConfigurationError(
@@ -132,38 +133,28 @@ class ShardedScheduler:
         self.initial_offload_probability = initial_offload_probability
         self.record_trace = record_trace
         self.use_delta = use_delta
-        self.use_batch = use_batch
-        self.batch_size = batch_size
 
-    # --- Inner-scheduler factories -----------------------------------------
+    # --- Inner-scheduler factory ------------------------------------------
 
-    def _inner_scheduler(self) -> TsajsScheduler:
-        """Per-cluster solver on the configured evaluation path."""
+    def _inner_scheduler(
+        self, external_rx: Optional[np.ndarray] = None
+    ) -> TsajsScheduler:
+        """Cluster solver on the configured evaluation path.
+
+        ``external_rx`` freezes the out-of-cluster interference into the
+        objective for the boundary re-anneals.
+        """
+        evaluator = DeltaEvaluator if self.use_delta else ObjectiveEvaluator
+
+        def factory(scenario: "Scenario") -> ObjectiveEvaluator:
+            return evaluator(scenario, external_rx=external_rx)
+
         return TsajsScheduler(
             schedule=self.schedule_params,
             neighborhood=self.neighborhood,
             initial_offload_probability=self.initial_offload_probability,
             record_trace=self.record_trace,
             use_delta=self.use_delta,
-            use_batch=self.use_batch,
-            batch_size=self.batch_size,
-        )
-
-    def _reconcile_scheduler(self, external_rx: np.ndarray) -> TsajsScheduler:
-        """Boundary re-anneal solver with frozen external interference.
-
-        Always scalar: the delta/batch evaluators do not model the
-        ``external_rx`` term, and reconciliation touches only the small
-        boundary clusters, so the scalar path's cost is immaterial.
-        """
-
-        def factory(scenario: "Scenario") -> ObjectiveEvaluator:
-            return ObjectiveEvaluator(scenario, external_rx=external_rx)
-
-        return TsajsScheduler(
-            schedule=self.schedule_params,
-            neighborhood=self.neighborhood,
-            initial_offload_probability=self.initial_offload_probability,
             evaluator_factory=factory,
         )
 
@@ -340,7 +331,7 @@ class ShardedScheduler:
             for cluster in boundary_clusters:
                 external_rx = external_interference(scenario, cluster, composed)
                 warm = restrict_decision(composed, cluster, scenario.n_servers)
-                result = self._reconcile_scheduler(external_rx).schedule(
+                result = self._inner_scheduler(external_rx).schedule(
                     sub_scenarios[cluster.index], reconcile_rng, initial=warm
                 )
                 evaluations += result.evaluations

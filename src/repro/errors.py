@@ -33,5 +33,5 @@ class DeterminismViolation(ReproError):
 
     Raised by :mod:`repro.sanitize` when per-stream draw ledgers diverge
     between replays that the contract requires to be bitwise identical
-    (scalar vs delta vs batch, or a resumed run vs a fresh one).
+    (scalar vs delta, or a resumed run vs a fresh one).
     """

@@ -2,9 +2,8 @@
 
 Maps the scheme names used throughout the paper (and this library's
 extensions) to constructor callables, with a ``quick`` knob for the
-annealer-based schemes and ``use_delta`` / ``use_batch`` knobs selecting
-the incremental or vectorized (both bitwise-equal) evaluation paths for
-the TSAJS variants.
+annealer-based schemes and a ``use_delta`` knob selecting the
+incremental (bitwise-equal) evaluation path for the TSAJS variants.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.baselines import (
     RandomScheduler,
 )
 from repro.core.annealing import AnnealingSchedule
-from repro.core.batch import ParallelTemperingScheduler
 from repro.core.scheduler import Scheduler, TsajsScheduler
 from repro.core.sharding import ShardedScheduler
 from repro.errors import ConfigurationError
@@ -36,12 +34,10 @@ QUICK_MIN_TEMPERATURE = 1e-2
 class SchemeOptions:
     """Construction knobs shared by every scheme factory.
 
-    ``quick`` shortens the annealing schedule; ``use_delta`` and
-    ``use_batch`` pick the incremental or vectorized evaluation path for
-    the TSAJS variants (both bitwise-equal to the scalar path, and
-    mutually exclusive); ``batch_size`` sizes the speculative batches of
-    the vectorized path and the parallel-tempering scheme.  Baselines
-    without an annealer inner loop ignore the evaluation knobs.
+    ``quick`` shortens the annealing schedule; ``use_delta`` picks the
+    incremental evaluation path for the TSAJS variants (bitwise-equal to
+    the scalar path).  Baselines without an annealer inner loop ignore
+    it.
 
     ``use_sharding`` swaps the TSAJS factory for the spatially sharded
     solver (``TSAJS-Shard`` always builds it); ``cluster_radius_km``,
@@ -51,22 +47,10 @@ class SchemeOptions:
 
     quick: bool = False
     use_delta: bool = False
-    use_batch: bool = False
-    batch_size: int = 64
     use_sharding: bool = False
     cluster_radius_km: float = 2.0
     interference_radius_km: Optional[float] = None
     max_reconcile_rounds: int = 2
-
-    def __post_init__(self) -> None:
-        if self.use_delta and self.use_batch:
-            raise ConfigurationError(
-                "use_delta and use_batch are mutually exclusive"
-            )
-        if self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
 
 
 def _annealing(quick: bool) -> AnnealingSchedule:
@@ -82,8 +66,6 @@ def _sharded(opts: SchemeOptions) -> ShardedScheduler:
         max_reconcile_rounds=opts.max_reconcile_rounds,
         schedule=_annealing(opts.quick),
         use_delta=opts.use_delta,
-        use_batch=opts.use_batch,
-        batch_size=opts.batch_size,
     )
 
 
@@ -91,26 +73,15 @@ def _sharded(opts: SchemeOptions) -> ShardedScheduler:
 SCHEME_FACTORIES: Dict[str, Callable[[SchemeOptions], Scheduler]] = {
     "TSAJS": lambda opts: _sharded(opts)
     if opts.use_sharding
-    else TsajsScheduler(
-        schedule=_annealing(opts.quick),
-        use_delta=opts.use_delta,
-        use_batch=opts.use_batch,
-        batch_size=opts.batch_size,
-    ),
+    else TsajsScheduler(schedule=_annealing(opts.quick), use_delta=opts.use_delta),
     "TSAJS-Shard": _sharded,
-    "TSAJS-PT": lambda opts: ParallelTemperingScheduler(
-        schedule=_annealing(opts.quick), batch_size=opts.batch_size
-    ),
     "hJTORA": lambda opts: HJtoraScheduler(),
     "LocalSearch": lambda opts: LocalSearchScheduler(),
     "Greedy": lambda opts: GreedyScheduler(),
     "Exhaustive": lambda opts: ExhaustiveScheduler(),
     "GA": lambda opts: GeneticScheduler(generations=20 if opts.quick else 80),
     "TSAJS-PC": lambda opts: TsajsWithPowerControl(
-        schedule=_annealing(opts.quick),
-        use_delta=opts.use_delta,
-        use_batch=opts.use_batch,
-        batch_size=opts.batch_size,
+        schedule=_annealing(opts.quick), use_delta=opts.use_delta
     ),
     "AllLocal": lambda opts: AllLocalScheduler(),
     "Random": lambda opts: RandomScheduler(samples=10),
@@ -126,8 +97,6 @@ def build_schemes(
     names: List[str],
     quick: bool = False,
     use_delta: bool = False,
-    use_batch: bool = False,
-    batch_size: int = 64,
     use_sharding: bool = False,
     cluster_radius_km: float = 2.0,
     interference_radius_km: Optional[float] = None,
@@ -142,8 +111,6 @@ def build_schemes(
     opts = SchemeOptions(
         quick=quick,
         use_delta=use_delta,
-        use_batch=use_batch,
-        batch_size=batch_size,
         use_sharding=use_sharding,
         cluster_radius_km=cluster_radius_km,
         interference_radius_km=interference_radius_km,

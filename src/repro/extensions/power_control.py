@@ -259,17 +259,10 @@ class TsajsWithPowerControl:
         p_min_watts: float = 1e-3,
         p_max_watts: float = 0.1,
         use_delta: bool = False,
-        use_batch: bool = False,
-        batch_size: int = 64,
     ) -> None:
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
-        self.tsajs = TsajsScheduler(
-            schedule=schedule,
-            use_delta=use_delta,
-            use_batch=use_batch,
-            batch_size=batch_size,
-        )
+        self.tsajs = TsajsScheduler(schedule=schedule, use_delta=use_delta)
         self.rounds = rounds
         self.p_min_watts = p_min_watts
         self.p_max_watts = p_max_watts
@@ -277,14 +270,22 @@ class TsajsWithPowerControl:
     def schedule_joint(
         self, scenario: Scenario, rng: Optional[np.random.Generator] = None
     ) -> JointScheduleResult:
-        """Alternate TSAJS and power best-response for ``rounds`` rounds."""
+        """Alternate TSAJS and power best-response for ``rounds`` rounds.
+
+        The result's ``evaluations`` and ``accepted_moves`` sum over all
+        TSAJS rounds.
+        """
         rng = rng if rng is not None else make_rng()
         current = scenario
         history: List[float] = []
         result = None
+        evaluations = 0
+        accepted_moves = 0
         powers = scenario.tx_power_watts.copy()
         for _ in range(self.rounds):
             result = self.tsajs.schedule(current, rng)
+            evaluations += result.evaluations
+            accepted_moves += result.accepted_moves
             history.append(result.utility)
             control = optimize_powers(
                 current,
@@ -301,9 +302,10 @@ class TsajsWithPowerControl:
             decision=result.decision,
             allocation=result.allocation,
             utility=history[-1],
-            evaluations=result.evaluations,
+            evaluations=evaluations,
             wall_time_s=result.wall_time_s,
             trace=result.trace,
+            accepted_moves=accepted_moves,
         )
         return JointScheduleResult(
             result=final,

@@ -1,9 +1,8 @@
 """Whole-project dataflow analysis for the determinism lint rules.
 
 The per-file AST rules (R001-R008) can only see one module at a time,
-but the reproduction guarantees they protect — scalar==delta==batch
-bitwise identity, byte-identical ``--resume``, RNG-rewind invisibility —
-are *inter-procedural* properties: an RNG stream created in one module
+but the reproduction guarantees they protect — scalar==delta bitwise
+identity, byte-identical ``--resume``, telemetry invisibility — are *inter-procedural* properties: an RNG stream created in one module
 is threaded through calls, closures and executor submissions defined in
 others.  This package adds the project-wide view those properties need:
 

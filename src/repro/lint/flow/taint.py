@@ -8,9 +8,9 @@ expressions, containers, calls and returns:
   ``rng``-named) parameters;
 * ``RNG_POOL`` — a collection of *distinct* streams (the result of
   ``rng.spawn(n)`` or a list/comprehension of fresh generators);
-  indexing or iterating a pool yields a fresh ``RNG``, which is why the
-  parallel-tempering scheduler's ``streams[c]`` is not an aliasing
-  violation while reusing one ``rng`` across chains is;
+  indexing or iterating a pool yields a fresh ``RNG``, which is why
+  ``streams[c]`` over spawned children is not an aliasing violation
+  while reusing one ``rng`` across chains is;
 * ``EXECUTOR`` — a process/thread pool, seeded at
   ``ProcessPoolExecutor(...)`` constructions and ``Executor``-annotated
   parameters;

@@ -14,8 +14,7 @@ BLAS-backed reductions — ``np.dot`` / ``np.matmul`` / ``np.einsum`` /
 same reason from the other direction: their accumulation order is an
 implementation detail of the linked BLAS (blocked, threaded, SIMD-width
 dependent), so the same expression can produce different last bits
-across machines.  The batch evaluator (``core/batch.py``) is exactly
-where reaching for ``dot`` is tempting; its kernels must stay on
+across machines.  Vectorised kernels in ``core/`` must stay on
 elementwise multiply plus ``np.add.reduce`` / ``np.add.at``.
 """
 

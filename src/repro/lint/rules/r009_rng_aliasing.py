@@ -30,8 +30,8 @@ It fires when:
 Deriving fresh streams is never flagged: ``rng.spawn(n)`` produces a
 pool whose elements are independent, so ``streams[c]`` / unpacking /
 iterating a pool taints each element as a *fresh* stream.  This is
-exactly the parallel-tempering idiom (one spawned child per chain) and
-the runner idiom (``child_rng(seed, stream)`` inside the worker).
+exactly the one-spawned-child-per-chain idiom and the runner idiom
+(``child_rng(seed, stream)`` inside the worker).
 """
 
 from __future__ import annotations

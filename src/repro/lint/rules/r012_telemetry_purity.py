@@ -41,7 +41,6 @@ from repro.lint.rules_base import Rule
 MUTATING_EVALUATOR_METHODS = {
     "evaluate",
     "evaluate_move",
-    "evaluate_batch",
     "commit",
     "rebuild",
     "stage",

@@ -7,7 +7,7 @@ shadowing, OFDMA sub-band bookkeeping, and the SINR / achievable-rate
 computation with inter-cell interference.
 """
 
-from repro.net.channel import ChannelModel, received_power
+from repro.net.channel import ChannelModel
 from repro.net.fading import RayleighFading, RicianFading, faded_scenario
 from repro.net.ofdma import OfdmaGrid
 from repro.net.pathloss import LogNormalShadowing, UrbanMacroPathLoss
@@ -15,7 +15,6 @@ from repro.net.sinr import (
     LinkStats,
     compute_link_stats,
     compute_rates,
-    compute_sinr_batch,
     total_received_power,
 )
 from repro.net.topology import HexCell, Topology, hex_grid_positions
@@ -32,9 +31,7 @@ __all__ = [
     "UrbanMacroPathLoss",
     "compute_link_stats",
     "compute_rates",
-    "compute_sinr_batch",
     "faded_scenario",
     "hex_grid_positions",
-    "received_power",
     "total_received_power",
 ]

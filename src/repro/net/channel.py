@@ -77,26 +77,3 @@ class ChannelModel:
             jitter_db = rng.normal(0.0, self.per_band_sigma_db, size=tensor.shape)
             tensor = tensor * db_to_linear(jitter_db)
         return tensor
-
-
-def received_power(gains: np.ndarray, tx_power_watts: np.ndarray) -> np.ndarray:
-    """Received-power tensor ``p_u * h[u, s, j]``, shape ``(U, S, N)``.
-
-    The array-shaped precompute behind the batch evaluator's per-user
-    power rows: slice ``[u, :, j]`` is the power user ``u`` deposits at
-    every station when transmitting on sub-band ``j``.  Computed
-    elementwise, so every entry carries the exact bits of the scalar
-    product ``p_u * h[u, s, j]``.
-    """
-    gains = np.asarray(gains, dtype=float)
-    tx_power_watts = np.asarray(tx_power_watts, dtype=float)
-    if gains.ndim != 3:
-        raise ConfigurationError(
-            f"gains must have shape (U, S, N), got {gains.shape}"
-        )
-    if tx_power_watts.shape != (gains.shape[0],):
-        raise ConfigurationError(
-            f"tx_power_watts must have shape ({gains.shape[0]},), "
-            f"got {tx_power_watts.shape}"
-        )
-    return gains * tx_power_watts[:, None, None]

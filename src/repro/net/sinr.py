@@ -94,10 +94,9 @@ def total_received_power(
     interference sum is carved out of (a user's interference at its
     serving slot is its bucket minus its own signal).  The accumulation
     is the sequential ascending-user-order sum documented in
-    :func:`compute_link_stats`; the incremental caches of
-    ``repro.core.delta`` / ``repro.core.batch`` must reproduce these
-    exact bits after any rebuild, which is what the interference-cache
-    property tests pin.
+    :func:`compute_link_stats`; the incremental cache of
+    ``repro.core.delta`` must reproduce these exact bits after any
+    rebuild, which is what the interference-cache property tests pin.
     """
     gains = np.asarray(gains, dtype=float)
     n_users, n_servers, n_channels = gains.shape
@@ -110,54 +109,6 @@ def total_received_power(
         ]
         np.add.at(total_rx, chan, rx)
     return total_rx
-
-
-def compute_sinr_batch(
-    gains: np.ndarray,
-    tx_power_watts: np.ndarray,
-    noise_watts: float,
-    server_of_user: np.ndarray,
-    channel_of_user: np.ndarray,
-) -> np.ndarray:
-    """Eq. (3) for a whole batch of assignments in one NumPy shot.
-
-    ``server_of_user`` / ``channel_of_user`` have shape ``(B, U)`` —
-    ``B`` complete assignments over the same ``(U, S, N)`` gain tensor —
-    and the result is the ``(B, U)`` linear SINR matrix (zero for local
-    users).  The per-assignment bits match :func:`compute_link_stats`
-    exactly: the scatter walks ``(batch, user)`` pairs in row-major
-    order, so each assignment's buckets accumulate in the same ascending
-    user order as the scalar path.
-    """
-    gains = np.asarray(gains, dtype=float)
-    tx_power_watts = np.asarray(tx_power_watts, dtype=float)
-    server_of_user = np.atleast_2d(np.asarray(server_of_user))
-    channel_of_user = np.atleast_2d(np.asarray(channel_of_user))
-    n_users, n_servers, n_channels = gains.shape
-    n_batch = server_of_user.shape[0]
-    if server_of_user.shape != (n_batch, n_users) or channel_of_user.shape != (
-        n_batch,
-        n_users,
-    ):
-        raise ConfigurationError(
-            "batch assignment vectors must have shape "
-            f"({n_batch}, {n_users}), got {server_of_user.shape} / "
-            f"{channel_of_user.shape}"
-        )
-
-    sinr = np.zeros((n_batch, n_users))
-    rows, users = np.nonzero(server_of_user >= 0)
-    if rows.size:
-        srv = server_of_user[rows, users]
-        chan = channel_of_user[rows, users]
-        rx = gains[users, :, chan] * tx_power_watts[users, None]
-        total_rx = np.zeros((n_batch, n_channels, n_servers))
-        np.add.at(total_rx, (rows, chan), rx)
-        signal = tx_power_watts[users] * gains[users, srv, chan]
-        interference = total_rx[rows, chan, srv] - signal
-        interference = np.maximum(interference, 0.0)
-        sinr[rows, users] = signal / (interference + noise_watts)
-    return sinr
 
 
 def compute_link_stats(

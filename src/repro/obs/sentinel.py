@@ -1,9 +1,8 @@
 """Perf-regression sentinel over the checked-in BENCH_*.json baselines.
 
-The repo pins four benchmark trajectories at its root —
+The repo pins three benchmark trajectories at its root —
 ``BENCH_delta.json`` (delta-evaluator speedup), ``BENCH_obs.json``
-(telemetry overhead), ``BENCH_batch.json`` (batch-evaluator scaling) and
-``BENCH_shard.json`` (sharded solve scaling).  Until now they were
+(telemetry overhead) and ``BENCH_shard.json`` (sharded solve scaling).  Until now they were
 documentation; :func:`run_sentinel` turns them into an enforced gate by
 comparing freshly produced copies against the baselines with per-metric
 tolerance bands and returning a machine-readable verdict (wired as
@@ -14,14 +13,14 @@ Only **machine-independent** metrics are enforced.  Absolute timings
 vary with the host and are reported informationally; the enforced bands
 cover:
 
-* ``speedup`` ratios (delta vs full, batch vs full) — relative change
+* ``speedup`` ratios (e.g. delta vs full) — relative change
   must not drop more than the ratio tolerance;
 * ``*_overhead_pct`` (telemetry overhead) — must not worsen by more
   than the point tolerance (absolute percentage points);
 * correctness booleans (``values_identical``, ``outcomes_identical``)
   — must match exactly.
 
-Nested documents (the ``scales`` lists in BENCH_batch/BENCH_shard) are
+Nested documents (the ``scales`` list in BENCH_shard) are
 flattened into dotted paths (``scales[0].speedup_vs_full``) and each
 leaf classified by its terminal key name.
 """
@@ -37,7 +36,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 DEFAULT_BENCH_FILES: Tuple[str, ...] = (
     "BENCH_delta.json",
     "BENCH_obs.json",
-    "BENCH_batch.json",
     "BENCH_shard.json",
 )
 

@@ -8,15 +8,13 @@ resulting per-stream ledgers — draw counts and ``BitGenerator`` state
 digests — agree across replays the reproduction contract requires to be
 bitwise identical:
 
-* scalar vs delta vs batch evaluation (``tsajs solve --sanitize``);
+* scalar vs delta evaluation, sharded solves included
+  (``tsajs solve --sanitize``);
 * repeated serial runs of one experiment (``tsajs run --sanitize``);
 * a journal-resumed sweep vs a fresh one (exercised in the test suite).
 
-Draw *counts* are compared only where the contract pins them (scalar vs
-delta, replay vs replay): the batch evaluator deliberately draws
-speculative uniforms and rewinds ``bit_generator.state``, so its counts
-differ while its state checkpoints match — which is exactly what the
-default state-digest comparison verifies.
+No path draws and then rewinds a stream, so draw counts are always
+compared alongside the state digests.
 
 Typical test usage::
 
@@ -26,9 +24,7 @@ Typical test usage::
         run_once()
     with sanitized() as second:
         run_once()
-    assert_ledgers_match(
-        first.snapshot(), second.snapshot(), compare_draws=True
-    )
+    assert_ledgers_match(first.snapshot(), second.snapshot())
 """
 
 from __future__ import annotations

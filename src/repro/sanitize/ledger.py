@@ -29,7 +29,7 @@ class StreamLedger:
     """Running account of one labelled RNG stream."""
 
     label: str
-    #: Number of draw calls made through the proxy.  State *rewinds*
+    #: Number of draw calls made through the proxy.  State assignments
     #: (``bit_generator.state = ...``) are not draws and not counted —
     #: they go through the passed-through real ``bit_generator``.
     draws: int = 0
@@ -42,7 +42,7 @@ class SanitizedGenerator:
 
     Every callable attribute is wrapped to increment the ledger's draw
     count before delegating; ``bit_generator`` passes through to the real
-    object so the annealer's state-rewind protocol works unchanged, and
+    object so state reads and digests see the underlying stream, and
     ``spawn`` wraps the children so derived streams are ledgered too.
 
     The proxy is duck-type compatible with ``Generator`` for everything
@@ -147,15 +147,12 @@ class DeterminismSanitizer:
 def assert_ledgers_match(
     reference: Dict[str, Dict[str, Any]],
     candidate: Dict[str, Dict[str, Any]],
-    compare_draws: bool = False,
     context: str = "replay",
 ) -> None:
     """Raise :class:`DeterminismViolation` unless two snapshots agree.
 
-    State digests and checkpoint sequences must always match; draw
-    counts are compared only with ``compare_draws=True`` (the batch
-    evaluator legitimately draws-and-rewinds, changing counts but not
-    states).
+    Every stream must carry the same draw count, state digest and
+    checkpoint sequence in both snapshots.
     """
     problems: List[str] = []
     missing = sorted(set(reference) - set(candidate))
@@ -176,7 +173,7 @@ def assert_ledgers_match(
                 f"({len(ref['checkpoints'])} vs {len(cand['checkpoints'])} "
                 "checkpoints)"
             )
-        if compare_draws and ref["draws"] != cand["draws"]:
+        if ref["draws"] != cand["draws"]:
             problems.append(
                 f"{label}: draw count {ref['draws']} != {cand['draws']}"
             )

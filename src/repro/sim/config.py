@@ -62,13 +62,6 @@ class SimulationConfig:
     #: Score annealer moves with the incremental
     #: :class:`~repro.core.delta.DeltaEvaluator` (bitwise-equal fast path).
     use_delta: bool = False
-    #: Score speculative move batches with the vectorized
-    #: :class:`~repro.core.batch.BatchEvaluator` (bitwise-equal fast path;
-    #: mutually exclusive with ``use_delta``).
-    use_batch: bool = False
-    #: Moves speculatively proposed per vectorized round when
-    #: ``use_batch`` is set.
-    batch_size: int = 64
     #: Default process count for multi-seed runs (1 = run in-process).
     n_workers: int = 1
 
@@ -126,14 +119,6 @@ class SimulationConfig:
         if not 0.0 < self.operator_weight <= 1.0:
             raise ConfigurationError(
                 f"operator_weight must lie in (0, 1], got {self.operator_weight}"
-            )
-        if self.use_delta and self.use_batch:
-            raise ConfigurationError(
-                "use_delta and use_batch are mutually exclusive"
-            )
-        if self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {self.batch_size}"
             )
         if self.n_workers < 1:
             raise ConfigurationError(

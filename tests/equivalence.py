@@ -1,22 +1,22 @@
 """Equivalence-test harness: replay one RNG stream through every
 evaluation path and compare whole trajectories, not just endpoints.
 
-The library claims that ``use_delta`` and ``use_batch`` are pure
-wall-clock optimisations: with a fixed RNG, the scalar, delta and batch
-paths walk **bitwise-identical** accepted-move chains.  This module turns
-that claim into a reusable assertion:
+The library claims that ``use_delta`` is a pure wall-clock
+optimisation: with a fixed RNG, the scalar and delta paths walk
+**bitwise-identical** accepted-move chains.  This module turns that
+claim into a reusable assertion:
 
-* :func:`run_trajectory` runs TSAJS on a scenario in one of the three
-  modes and captures everything that could diverge — the utility bits,
+* :func:`run_trajectory` runs TSAJS on a scenario in either mode and
+  captures everything that could diverge — the utility bits,
   the final decision and allocation, the accepted-move count, the full
   per-level best-value trace and the *final RNG state* (which pins the
   exact number and order of every draw the run consumed).
 * :func:`assert_trajectories_identical` compares two captures field by
   field with exact (non-approximate) equality.
 
-``tests/test_batch_equivalence.py`` drives this harness at paper scale;
-it is kept importable (no test functions here) so future evaluation
-paths can reuse it.
+``tests/test_delta_objective.py`` and ``tests/test_sharded_equivalence.py``
+drive this harness; it is kept importable (no test functions here) so
+future evaluation paths can reuse it.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from repro.core.scheduler import TsajsScheduler
 from repro.sim.rng import child_rng
 from repro.sim.scenario import Scenario
 
-#: The three evaluation paths under the bitwise-identity contract.
-MODES = ("scalar", "delta", "batch")
+#: The evaluation paths under the bitwise-identity contract.
+MODES = ("scalar", "delta")
 
 
 @dataclass
@@ -52,24 +52,13 @@ class Trajectory:
     rng_state: Any
 
 
-def make_scheduler(
-    mode: str,
-    schedule: AnnealingSchedule,
-    batch_size: int = 64,
-) -> TsajsScheduler:
+def make_scheduler(mode: str, schedule: AnnealingSchedule) -> TsajsScheduler:
     """A TSAJS scheduler on the requested evaluation path."""
-    if mode == "scalar":
-        return TsajsScheduler(schedule=schedule, record_trace=True)
-    if mode == "delta":
-        return TsajsScheduler(schedule=schedule, record_trace=True, use_delta=True)
-    if mode == "batch":
-        return TsajsScheduler(
-            schedule=schedule,
-            record_trace=True,
-            use_batch=True,
-            batch_size=batch_size,
-        )
-    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    return TsajsScheduler(
+        schedule=schedule, record_trace=True, use_delta=mode == "delta"
+    )
 
 
 def run_trajectory(
@@ -77,13 +66,12 @@ def run_trajectory(
     seed: int,
     mode: str,
     schedule: Optional[AnnealingSchedule] = None,
-    batch_size: int = 64,
     stream: int = 100,
 ) -> Trajectory:
     """Run TSAJS in ``mode`` from the deterministic ``child_rng`` stream."""
     if schedule is None:
         schedule = AnnealingSchedule(chain_length=15, min_temperature=1e-2)
-    scheduler = make_scheduler(mode, schedule, batch_size=batch_size)
+    scheduler = make_scheduler(mode, schedule)
     rng = child_rng(seed, stream)
     result = scheduler.schedule(scenario, rng)
     return Trajectory(
@@ -107,7 +95,6 @@ def run_sharded_trajectory(
     interference_radius_km: Optional[float] = None,
     max_reconcile_rounds: int = 2,
     schedule: Optional[AnnealingSchedule] = None,
-    batch_size: int = 64,
     stream: int = 100,
 ) -> Trajectory:
     """Run the spatially sharded solver and capture its trajectory.
@@ -129,8 +116,6 @@ def run_sharded_trajectory(
         schedule=schedule,
         record_trace=True,
         use_delta=mode == "delta",
-        use_batch=mode == "batch",
-        batch_size=batch_size,
     )
     rng = child_rng(seed, stream)
     result = scheduler.schedule(scenario, rng)
@@ -147,18 +132,8 @@ def run_sharded_trajectory(
     )
 
 
-def assert_trajectories_identical(
-    reference: Trajectory,
-    other: Trajectory,
-    compare_evaluations: bool = True,
-) -> None:
-    """Exact, field-by-field trajectory comparison.
-
-    ``compare_evaluations=False`` skips the evaluation-count check: the
-    batch path legitimately counts speculative candidates the scalar
-    path never scores, so its total differs even though the accepted
-    chain is identical.
-    """
+def assert_trajectories_identical(reference: Trajectory, other: Trajectory) -> None:
+    """Exact, field-by-field trajectory comparison."""
     label = f"{reference.mode} vs {other.mode}"
     assert reference.utility == other.utility, (
         f"{label}: utility bits diverged "
@@ -180,11 +155,10 @@ def assert_trajectories_identical(
     assert reference.rng_state == other.rng_state, (
         f"{label}: final RNG state diverged (draw sequences differ)"
     )
-    if compare_evaluations:
-        assert reference.evaluations == other.evaluations, (
-            f"{label}: evaluation count diverged "
-            f"({reference.evaluations} != {other.evaluations})"
-        )
+    assert reference.evaluations == other.evaluations, (
+        f"{label}: evaluation count diverged "
+        f"({reference.evaluations} != {other.evaluations})"
+    )
 
 
 def accepted_step_trace(records: list) -> list:

@@ -8,6 +8,10 @@ specified to be bit-for-bit equal — and with :meth:`breakdown` within
 annealer uses it (rejections leave the cache on the rejected candidate,
 so the next evaluation carries the rejected touched set), plus unhinted
 ``touched=None`` diffs and mid-sequence :meth:`rebuild` checkpoints.
+The interference cache is property-tested against from-scratch
+``net.sinr`` recomputes, with and without a frozen ``external_rx``
+matrix, and the ``tests/equivalence.py`` harness replays whole TSAJS
+trajectories at paper scale on both evaluation paths.
 """
 
 from __future__ import annotations
@@ -21,10 +25,12 @@ from repro.core.delta import DeltaEvaluator
 from repro.core.neighborhood import NeighborhoodSampler
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import TsajsScheduler
+from repro.net.sinr import total_received_power
 from repro.sim.config import SimulationConfig, small_network_config
 from repro.sim.rng import child_rng
 from repro.sim.scenario import Scenario
 from tests.conftest import make_scenario
+from tests.equivalence import assert_trajectories_identical, run_trajectory
 
 #: (U, S, N, scenario seed) grid — 10 randomized scenarios x 60 moves
 #: each = 600 checked moves in the main sequence test alone.
@@ -252,3 +258,104 @@ class TestSchedulerTrajectoryEquality:
         assert fast.evaluations == full.evaluations
         assert fast.accepted_moves == full.accepted_moves
         np.testing.assert_array_equal(fast.allocation, full.allocation)
+
+
+class TestPaperScaleBitwiseIdentity:
+    """Scalar vs delta trajectories at U=40/S=5/N=20 (Sec. V's U=40 point)."""
+
+    CONFIG = SimulationConfig(n_users=40, n_servers=5, n_subbands=20)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(3000, 3005))
+    def test_delta_matches_scalar(self, seed):
+        scenario = Scenario.build(self.CONFIG, seed=seed)
+        schedule = AnnealingSchedule(chain_length=15, min_temperature=1e-2)
+        scalar = run_trajectory(scenario, seed, "scalar", schedule=schedule)
+        delta = run_trajectory(scenario, seed, "delta", schedule=schedule)
+        assert_trajectories_identical(scalar, delta)
+
+
+def _external_rx(scenario, kind):
+    """``None`` or a random non-negative ``(N, S)`` frozen-power matrix."""
+    if kind == "none":
+        return None
+    rng = np.random.default_rng(scenario.n_users)
+    # Same order of magnitude as in-instance received powers.
+    scale = float(np.max(scenario.gains)) * float(np.max(scenario.tx_power_watts))
+    return rng.random((scenario.n_subbands, scenario.n_servers)) * scale
+
+
+class TestInterferenceCacheProperties:
+    """Cached per-sub-band interference == from-scratch net.sinr bits."""
+
+    def _assert_cache_matches(self, evaluator, scenario, external_rx):
+        server = np.asarray(evaluator._server_list)
+        channel = np.asarray(evaluator._channel_list)
+        expected = total_received_power(
+            scenario.gains, scenario.tx_power_watts, server, channel
+        )
+        if external_rx is not None:
+            expected = expected + external_rx
+        cached = np.asarray(evaluator._total_rx)
+        assert np.array_equal(cached, expected), (
+            "cached (band, server) received-power buckets diverged from "
+            "the from-scratch net.sinr recompute"
+        )
+
+    @pytest.mark.parametrize("kind", ["none", "external"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_randomized_assignment_sequences(self, seed, kind):
+        config = SimulationConfig(n_users=12, n_servers=4, n_subbands=3)
+        scenario = Scenario.build(config, seed=seed)
+        external_rx = _external_rx(scenario, kind)
+        rng = np.random.default_rng(1000 + seed)
+        evaluator = DeltaEvaluator(scenario, external_rx=external_rx)
+        reference = ObjectiveEvaluator(scenario, external_rx=external_rx)
+        U, S, N = scenario.n_users, scenario.n_servers, scenario.n_subbands
+        for _ in range(40):
+            # Random feasible-ish assignment: draw per-user, then clear
+            # slot collisions back to local (the cache contract does not
+            # require feasibility, but the schedulers maintain it).
+            server = rng.integers(-1, S, size=U)
+            channel = np.where(server >= 0, rng.integers(0, N, size=U), LOCAL)
+            used = set()
+            for u in range(U):
+                if server[u] >= 0:
+                    slot = (int(server[u]), int(channel[u]))
+                    if slot in used:
+                        server[u] = LOCAL
+                        channel[u] = LOCAL
+                    else:
+                        used.add(slot)
+            got = evaluator.evaluate_assignment(server, channel)
+            assert got == reference.evaluate_assignment(server, channel)
+            self._assert_cache_matches(evaluator, scenario, external_rx)
+
+    @pytest.mark.parametrize("kind", ["none", "external"])
+    def test_cache_exact_after_rebuild(self, kind):
+        config = SimulationConfig(n_users=10, n_servers=3, n_subbands=2)
+        scenario = Scenario.build(config, seed=3)
+        external_rx = _external_rx(scenario, kind)
+        rng = np.random.default_rng(3)
+        evaluator = DeltaEvaluator(scenario, external_rx=external_rx)
+        reference = ObjectiveEvaluator(scenario, external_rx=external_rx)
+        decision = OffloadingDecision.random_feasible(
+            scenario.n_users, scenario.n_servers, scenario.n_subbands, rng
+        )
+        before = evaluator.evaluate(decision)
+        assert before == reference.evaluate(decision)
+        cached_before = [list(row) for row in evaluator._total_rx]
+        evaluator.rebuild()
+        after = evaluator.evaluate(decision)
+        assert before == after  # exact bits across a cache reset
+        assert cached_before == [list(row) for row in evaluator._total_rx]
+        self._assert_cache_matches(evaluator, scenario, external_rx)
+
+
+def test_log2_is_value_deterministic():
+    """Invariant 2: a short np.log2 call gives the full-vector bits."""
+    rng = np.random.default_rng(2)
+    values = 1.0 + np.abs(rng.normal(size=257))
+    whole = np.log2(values)
+    one_by_one = np.array([np.log2(np.array([v]))[0] for v in values])
+    assert np.array_equal(whole, one_by_one)

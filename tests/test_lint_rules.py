@@ -328,10 +328,10 @@ class TestR005Accumulation:
         })
         assert _lint(tmp_path, "R005") == []
 
-    def test_flags_blas_reductions_in_batch_module(self, tmp_path):
-        """core/batch.py falls under R005, including the BLAS ban."""
+    def test_flags_blas_reductions_in_delta_module(self, tmp_path):
+        """core/delta.py falls under R005, including the BLAS ban."""
         _write_tree(tmp_path, {
-            "repro/core/batch.py": (
+            "repro/core/delta.py": (
                 "import numpy as np\n"
                 "def f(a, b):\n"
                 "    return np.dot(a, b) + np.einsum('ij,j->i', a, b)\n"
@@ -343,7 +343,7 @@ class TestR005Accumulation:
 
     def test_flags_matmul_operator(self, tmp_path):
         _write_tree(tmp_path, {
-            "repro/core/batch.py": (
+            "repro/core/delta.py": (
                 "def f(a, b):\n"
                 "    return a @ b\n"
             ),
@@ -354,7 +354,7 @@ class TestR005Accumulation:
 
     def test_elementwise_product_with_reduce_is_fine(self, tmp_path):
         _write_tree(tmp_path, {
-            "repro/core/batch.py": (
+            "repro/core/delta.py": (
                 "import numpy as np\n"
                 "def f(a, b):\n"
                 "    return np.add.reduce(a * b, axis=1)\n"

@@ -507,7 +507,6 @@ class TestSentinel:
         for name in (
             "BENCH_delta.json",
             "BENCH_obs.json",
-            "BENCH_batch.json",
             "BENCH_shard.json",
         ):
             shutil.copy(REPO_ROOT / name, current / name)

@@ -169,6 +169,25 @@ class TestTsajsWithPowerControl:
         with pytest.raises(ConfigurationError):
             TsajsWithPowerControl(rounds=0)
 
+    def test_cost_sums_over_rounds(self, small_random_scenario):
+        """evaluations/accepted_moves count every TSAJS round, not the last."""
+        joint = TsajsWithPowerControl(schedule=QUICK, rounds=2).schedule(
+            small_random_scenario, np.random.default_rng(4)
+        )
+        # Replay the two rounds by hand on the same stream.
+        rng = np.random.default_rng(4)
+        tsajs = TsajsScheduler(schedule=QUICK)
+        scenario = small_random_scenario
+        rounds = []
+        for _ in range(2):
+            result = tsajs.schedule(scenario, rng)
+            rounds.append(result)
+            powers = optimize_powers(scenario, result.decision).powers
+            scenario = scenario_with_powers(scenario, powers)
+        assert joint.evaluations == sum(r.evaluations for r in rounds)
+        assert joint.accepted_moves == sum(r.accepted_moves for r in rounds)
+        assert joint.accepted_moves > 0
+
     def test_scenario_in_result_has_tuned_powers(self, small_random_scenario):
         joint = TsajsWithPowerControl(schedule=QUICK, rounds=1).schedule_joint(
             small_random_scenario, np.random.default_rng(4)

@@ -85,9 +85,7 @@ class TestLedgerComparison:
         return sanitizer.snapshot()
 
     def test_identical_replays_match(self):
-        assert_ledgers_match(
-            self._snapshot_after(5), self._snapshot_after(5), compare_draws=True
-        )
+        assert_ledgers_match(self._snapshot_after(5), self._snapshot_after(5))
 
     def test_state_divergence_raises(self):
         with pytest.raises(DeterminismViolation, match="final state"):
@@ -116,9 +114,9 @@ class TestLedgerComparison:
             return sanitizer.snapshot()
 
         reference, candidate = run(False), run(True)
-        assert_ledgers_match(reference, candidate)  # digest-only: fine
-        with pytest.raises(DeterminismViolation, match="draw count"):
-            assert_ledgers_match(reference, candidate, compare_draws=True)
+        # Equal state digests do not excuse a draw-count mismatch.
+        with pytest.raises(DeterminismViolation, match="draw count 1 != 2"):
+            assert_ledgers_match(reference, candidate)
 
     def test_checkpoint_sequence_divergence_raises(self):
         def run(checkpoint_midway):
@@ -165,17 +163,11 @@ class TestObserverSeam:
         assert set(inner.ledgers) == {"root:2"}
 
 
-def _solve_snapshot(seed, use_delta, use_batch):
+def _solve_snapshot(seed, use_delta):
     config = SimulationConfig(n_users=8, n_servers=3)
     with sanitized() as sanitizer:
         scenario = Scenario.build(config, seed=seed)
-        schedulers = build_schemes(
-            ["TSAJS"],
-            quick=True,
-            use_delta=use_delta,
-            use_batch=use_batch,
-            batch_size=16,
-        )
+        schedulers = build_schemes(["TSAJS"], quick=True, use_delta=use_delta)
         utilities = {}
         for index, scheduler in enumerate(schedulers):
             rng = child_rng(seed, 100 + index)
@@ -184,20 +176,17 @@ def _solve_snapshot(seed, use_delta, use_batch):
     return sanitizer.snapshot(), utilities
 
 
-class TestTriModeSolve:
-    def test_scalar_delta_batch_ledgers_agree(self):
-        scalar, scalar_util = _solve_snapshot(11, False, False)
-        delta, delta_util = _solve_snapshot(11, True, False)
-        batch, batch_util = _solve_snapshot(11, False, True)
-        # Scalar vs delta: identical draw-for-draw.
-        assert_ledgers_match(scalar, delta, compare_draws=True, context="delta")
-        # Batch draws-and-rewinds: states must match, counts may not.
-        assert_ledgers_match(scalar, batch, context="batch")
-        assert scalar_util == delta_util == batch_util
+class TestDualModeSolve:
+    def test_scalar_delta_ledgers_agree(self):
+        scalar, scalar_util = _solve_snapshot(11, False)
+        delta, delta_util = _solve_snapshot(11, True)
+        # Identical draw-for-draw.
+        assert_ledgers_match(scalar, delta, context="delta")
+        assert scalar_util == delta_util
 
     def test_different_seeds_diverge(self):
-        scalar, _ = _solve_snapshot(11, False, False)
-        other, _ = _solve_snapshot(12, False, False)
+        scalar, _ = _solve_snapshot(11, False)
+        other, _ = _solve_snapshot(12, False)
         with pytest.raises(DeterminismViolation):
             assert_ledgers_match(scalar, other)
 

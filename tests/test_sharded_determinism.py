@@ -137,7 +137,6 @@ def test_sanitizer_ledgers_match_across_serial_replays():
     assert_ledgers_match(
         snapshots[0],
         snapshots[1],
-        compare_draws=True,
         context="sharded serial replay",
     )
     assert utilities[0] == utilities[1]
