@@ -85,7 +85,7 @@ def measure_scale(n_servers: int, repeats: int = 2, seed: int = 1) -> dict:
     partition = partition_scenario(
         scenario, CLUSTER_RADIUS_KM, INTERFERENCE_RADIUS_KM
     )
-    inner = TsajsScheduler(schedule=SCHEDULE, use_delta=True)
+    inner = TsajsScheduler(schedule=SCHEDULE)
 
     # Per-cluster quick TTSA solves (the unit the decomposition repeats).
     solve_times = []
@@ -104,7 +104,6 @@ def measure_scale(n_servers: int, repeats: int = 2, seed: int = 1) -> dict:
         interference_radius_km=INTERFERENCE_RADIUS_KM,
         max_reconcile_rounds=1,
         schedule=SCHEDULE,
-        use_delta=True,
     )
     t0 = time.perf_counter()
     sharder.schedule(scenario, child_rng(seed, 100))

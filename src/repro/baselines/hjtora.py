@@ -18,13 +18,14 @@ sub-channel count than Greedy/LocalSearch (Fig. 8).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple, cast
 
 import numpy as np
 
 from repro.obs.clock import Stopwatch
 from repro.core.allocation import kkt_allocation
 from repro.core.decision import LOCAL, OffloadingDecision
+from repro.core.delta import DeltaEvaluator
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import ScheduleResult
 from repro.errors import ConfigurationError
@@ -44,6 +45,12 @@ class HJtoraScheduler:
         search converges naturally well before this on paper-scale inputs;
         the bound guards against pathological cycling under floating-point
         ties.
+    evaluator_factory:
+        Builds the objective evaluator; defaults to the incremental
+        :class:`~repro.core.delta.DeltaEvaluator`.  An evaluator without
+        ``evaluate_move`` (e.g. the scalar
+        :class:`~repro.core.objective.ObjectiveEvaluator`) rescores every
+        candidate in full; both lanes return the same bits.
     """
 
     name = "hJTORA"
@@ -51,7 +58,7 @@ class HJtoraScheduler:
     def __init__(
         self,
         max_rounds: int = 10_000,
-        evaluator_factory: Callable[["Scenario"], ObjectiveEvaluator] = ObjectiveEvaluator,
+        evaluator_factory: Callable[["Scenario"], ObjectiveEvaluator] = DeltaEvaluator,
     ) -> None:
         if max_rounds < 1:
             raise ConfigurationError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -74,34 +81,54 @@ class HJtoraScheduler:
 
         server = decision.server
         channel = decision.channel
+        # The evaluator picks the lane: one with ``evaluate_move`` speaks
+        # DeltaEvaluator's touched-set protocol and rescores only the
+        # users that differ from the last *evaluated* assignment.
+        # ``pending`` holds them — the previous candidate's user (its
+        # probe was undone) plus the move applied at the end of a round.
+        incremental = (
+            cast(DeltaEvaluator, evaluator)
+            if hasattr(evaluator, "evaluate_move")
+            else None
+        )
+        pending: Tuple[int, ...] = ()
+
+        def score(u: int) -> float:
+            nonlocal pending
+            if incremental is None:
+                return evaluator.evaluate_assignment(server, channel)
+            value = incremental.evaluate_assignment(
+                server, channel, touched=pending + (u,)
+            )
+            pending = (u,)
+            return value
 
         for _ in range(self.max_rounds):
             best_delta = 0.0
             best_move = None  # (user, server, channel) with LOCAL for revoke
+            # Only server/channel are probed inside a round, so the slot
+            # table — and with it the free-slot list — is fixed until the
+            # round's move is applied.  A user's own slot is occupied by
+            # that user, so it never appears here.
+            free_slots = [
+                (s, j) for s in range(n_servers) for j in decision.free_channels(s)
+            ]
             for u in range(n_users):
                 old_s, old_j = int(server[u]), int(channel[u])
                 # Candidate: revoke the offload.
                 if old_s != LOCAL:
                     server[u], channel[u] = LOCAL, LOCAL
-                    delta = evaluator.evaluate_assignment(server, channel) - current_value
+                    delta = score(u) - current_value
                     server[u], channel[u] = old_s, old_j
                     if delta > best_delta:
                         best_delta, best_move = delta, (u, LOCAL, LOCAL)
                 # Candidates: move to every free slot.
-                for s in range(n_servers):
-                    for j in range(n_channels):
-                        if (s, j) == (old_s, old_j):
-                            continue
-                        if decision.occupant_of(s, j) != LOCAL:
-                            continue
-                        server[u], channel[u] = s, j
-                        delta = (
-                            evaluator.evaluate_assignment(server, channel)
-                            - current_value
-                        )
-                        server[u], channel[u] = old_s, old_j
-                        if delta > best_delta:
-                            best_delta, best_move = delta, (u, s, j)
+                for s, j in free_slots:
+                    server[u], channel[u] = s, j
+                    delta = score(u) - current_value
+                    server[u], channel[u] = old_s, old_j
+                    if delta > best_delta:
+                        best_delta, best_move = delta, (u, s, j)
             if best_move is None:
                 break
             u, s, j = best_move
@@ -109,6 +136,7 @@ class HJtoraScheduler:
                 decision.set_local(u)
             else:
                 decision.assign(u, s, j)
+            pending += (u,)
             current_value += best_delta
 
         utility = evaluator.evaluate(decision)

@@ -14,13 +14,14 @@ a lower utility (Fig. 3).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple, cast
 
 import numpy as np
 
 from repro.obs.clock import Stopwatch
 from repro.core.allocation import kkt_allocation
 from repro.core.decision import OffloadingDecision
+from repro.core.delta import DeltaEvaluator
 from repro.core.neighborhood import NeighborhoodSampler
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import ScheduleResult
@@ -48,6 +49,15 @@ class LocalSearchScheduler:
         the deeply negative region a dense random start lands in on large
         sub-channel grids, whereas growing the offload set move by move
         matches the baseline's intended "gradually improve" behaviour.
+    neighborhood:
+        Move generator; defaults to Algorithm 2's probabilities.
+    evaluator_factory:
+        Builds the objective evaluator; defaults to the incremental
+        :class:`~repro.core.delta.DeltaEvaluator`.  An evaluator without
+        ``evaluate_move`` (e.g. the scalar
+        :class:`~repro.core.objective.ObjectiveEvaluator`) rescores every
+        proposal in full; both lanes draw the same RNG stream and return
+        the same bits.
     """
 
     name = "LocalSearch"
@@ -58,7 +68,7 @@ class LocalSearchScheduler:
         patience: int = 300,
         initial_offload_probability: float = 0.0,
         neighborhood: Optional[NeighborhoodSampler] = None,
-        evaluator_factory: Callable[["Scenario"], ObjectiveEvaluator] = ObjectiveEvaluator,
+        evaluator_factory: Callable[["Scenario"], ObjectiveEvaluator] = DeltaEvaluator,
     ) -> None:
         if max_iterations < 1:
             raise ConfigurationError(
@@ -107,14 +117,31 @@ class LocalSearchScheduler:
             offload_probability=self.initial_offload_probability,
         )
         current_value = evaluator.evaluate(current)
+        # The evaluator picks the lane, as in the annealer: an incremental
+        # one scores each move from its cache, which mirrors the last
+        # *evaluated* candidate, so a rejected move's touched set is
+        # carried into the next call.
+        incremental = (
+            cast(DeltaEvaluator, evaluator)
+            if hasattr(evaluator, "evaluate_move")
+            else None
+        )
+        carry: Tuple[int, ...] = ()
         stale = 0
         for _ in range(self.max_iterations):
-            candidate = self.neighborhood.propose(current, rng)
-            candidate_value = evaluator.evaluate(candidate)
+            if incremental is not None:
+                candidate, touched = self.neighborhood.propose_move(current, rng)
+                candidate_value = incremental.evaluate_move(candidate, touched + carry)
+            else:
+                touched = ()
+                candidate = self.neighborhood.propose(current, rng)
+                candidate_value = evaluator.evaluate(candidate)
             if candidate_value > current_value:
                 current, current_value = candidate, candidate_value
+                carry = ()
                 stale = 0
             else:
+                carry = touched
                 stale += 1
                 if stale >= self.patience:
                     break

@@ -14,12 +14,12 @@ Sub-commands
 ``tsajs worker QUEUE_DIR [--drain]``
     Drain task files from a ``run --backend queue --queue-dir`` sweep;
     run any number of workers, on any machine sharing the directory.
-``tsajs solve [--users U --servers S --subbands N --delta ...]``
+``tsajs solve [--users U --servers S --subbands N ...]``
     Solve a single random instance with the selected schemes and print
     the utilities side by side — a one-command demo of the library.
-    ``--delta`` switches TSAJS to the incremental evaluation path
-    (bit-identical to the scalar path); ``--sanitize`` replays the solve
-    on both paths and checks the RNG ledgers and utilities match.
+    ``--sanitize`` replays the solve on the scalar reference evaluator
+    and on the default incremental one and checks the RNG ledgers and
+    utilities match.
 ``tsajs schemes``
     List the scheme names accepted by ``solve --schemes``.
 ``tsajs episode [--pool P --slots T --outage q ...]``
@@ -263,14 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     solve_parser.add_argument(
-        "--delta",
-        action="store_true",
-        help=(
-            "score annealer moves with the incremental (delta) evaluator; "
-            "bit-identical results, lower wall-clock time"
-        ),
-    )
-    solve_parser.add_argument(
         "--shard",
         action="store_true",
         help=(
@@ -322,8 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "replay the solve under scalar and delta evaluation "
             "with the determinism sanitizer and assert per-stream RNG "
-            "ledgers and utilities are identical (overrides "
-            "--delta; incompatible with --trace)"
+            "ledgers and utilities are identical (incompatible with "
+            "--trace)"
         ),
     )
 
@@ -346,11 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quick",
         action="store_true",
         help="stop the annealer early (T_min = 1e-2)",
-    )
-    trace_record.add_argument(
-        "--delta",
-        action="store_true",
-        help="use the incremental (delta) evaluator",
     )
     trace_record.add_argument(
         "--iterations",
@@ -845,7 +832,6 @@ def _cmd_solve_body(args: argparse.Namespace) -> int:
         n_subbands=args.subbands,
         workload_megacycles=args.workload_mc,
         input_kb=args.input_kb,
-        use_delta=args.delta,
         use_sharding=args.shard,
         cluster_radius_km=args.cluster_radius,
         interference_radius_km=args.interference_radius,
@@ -865,7 +851,6 @@ def _cmd_solve_body(args: argparse.Namespace) -> int:
     schedulers = build_schemes(
         names,
         quick=args.quick,
-        use_delta=config.use_delta,
         use_sharding=config.use_sharding,
         cluster_radius_km=config.cluster_radius_km,
         interference_radius_km=config.interference_radius_km,
@@ -885,15 +870,18 @@ def _cmd_solve_body(args: argparse.Namespace) -> int:
 def _cmd_solve_sanitized(args: argparse.Namespace) -> int:
     """Replay the solve under both evaluators with ledger checks.
 
-    Scalar and delta must agree draw-for-draw, on every final stream
-    state and on every utility bit (sharded solves included).
+    The scalar reference (``evaluator_factory=ObjectiveEvaluator``) and
+    the default delta evaluator must agree draw-for-draw, on every final
+    stream state and on every utility bit (sharded solves included).
     """
+    from repro.core.delta import DeltaEvaluator
+    from repro.core.objective import ObjectiveEvaluator
     from repro.errors import DeterminismViolation
     from repro.experiments.schemes import build_schemes
     from repro.sanitize import assert_ledgers_match, sanitized
 
     names = [name.strip() for name in args.schemes.split(",") if name.strip()]
-    modes = (("scalar", False), ("delta", True))
+    modes = (("scalar", ObjectiveEvaluator), ("delta", DeltaEvaluator))
     shard_tag = " sharded" if args.shard else ""
     print(
         f"instance: U={args.users} S={args.servers} N={args.subbands} "
@@ -902,14 +890,13 @@ def _cmd_solve_sanitized(args: argparse.Namespace) -> int:
     )
     snapshots = {}
     utilities: Dict[str, Dict[str, float]] = {}
-    for mode_name, use_delta in modes:
+    for mode_name, evaluator_factory in modes:
         config = SimulationConfig(
             n_users=args.users,
             n_servers=args.servers,
             n_subbands=args.subbands,
             workload_megacycles=args.workload_mc,
             input_kb=args.input_kb,
-            use_delta=use_delta,
             use_sharding=args.shard,
             cluster_radius_km=args.cluster_radius,
             interference_radius_km=args.interference_radius,
@@ -920,7 +907,7 @@ def _cmd_solve_sanitized(args: argparse.Namespace) -> int:
             schedulers = build_schemes(
                 names,
                 quick=args.quick,
-                use_delta=use_delta,
+                evaluator_factory=evaluator_factory,
                 use_sharding=config.use_sharding,
                 cluster_radius_km=config.cluster_radius_km,
                 interference_radius_km=config.interference_radius_km,
@@ -982,11 +969,10 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         n_users=args.users,
         n_servers=args.servers,
         n_subbands=args.subbands,
-        use_delta=args.delta,
     )
     scenario = Scenario.build(config, seed=args.seed)
     names = [name.strip() for name in args.schemes.split(",") if name.strip()]
-    schedulers = build_schemes(names, quick=args.quick, use_delta=args.delta)
+    schedulers = build_schemes(names, quick=args.quick)
     recorder = TraceRecorder(args.out, iteration_detail=args.iterations)
     with recorder, use_recorder(recorder):
         for index, scheduler in enumerate(schedulers):

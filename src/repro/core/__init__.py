@@ -6,7 +6,7 @@
   allocation (Eq. 20-23).
 * :mod:`repro.core.objective` — utility/cost evaluation (Eq. 8-11, 16-19, 24).
 * :mod:`repro.core.delta` — incremental (delta) evaluation of the same
-  objective for the annealer's single-user moves.
+  objective, the default scorer of every search loop's single-user moves.
 * :mod:`repro.core.annealing` — the threshold-triggered simulated-annealing
   engine (Algorithm 1's control loop).
 * :mod:`repro.core.neighborhood` — the move generator (Algorithm 2).

@@ -273,7 +273,6 @@ def degrade(
     *,
     rng: Optional[np.random.Generator] = None,
     schedule: Optional[AnnealingSchedule] = None,
-    use_delta: bool = False,
 ) -> DegradedPlan:
     """Repair a fault-free plan for the faulted system and score it.
 
@@ -294,8 +293,6 @@ def degrade(
         its own seed stream for reproducibility.
     schedule:
         Annealing schedule for the repair (defaults to Alg. 1 constants).
-    use_delta:
-        Score repair moves incrementally (bitwise-equal, faster).
 
     The repair never returns a worse utility than the pure fallback
     plan: the annealer's best-tracking starts at its warm-start state.
@@ -323,7 +320,6 @@ def degrade(
         scheduler = TsajsScheduler(
             schedule=schedule,
             neighborhood=sampler,
-            use_delta=use_delta,
         )
         outcome = scheduler.schedule(scenario, rng, initial=repaired)
         final, changed = _enforce_feasibility(outcome.decision, faults)

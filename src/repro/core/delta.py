@@ -1,4 +1,5 @@
-"""Incremental (delta) evaluation of ``J*(X)`` — the annealer's fast lane.
+"""Incremental (delta) evaluation of ``J*(X)`` — the default scorer of the
+search loops (TSAJS's annealer, hJTORA and LocalSearch).
 
 Every TTSA proposal differs from the incumbent in at most a handful of
 users (Algorithm 2 touches one or two, plus a possibly displaced slot
@@ -19,7 +20,8 @@ and the affected users' objective terms.
 Bitwise contract
 ----------------
 The delta path returns values **bit-for-bit equal** to the full path, so
-``use_delta=True`` reproduces the exact annealing trajectory (the
+a search scored by this evaluator reproduces the exact trajectory of one
+scored by :class:`~repro.core.objective.ObjectiveEvaluator` (the
 accept/reject comparisons and the RNG stream never diverge).  Three
 invariants make this work; keep them in lockstep with
 :mod:`repro.core.objective` and :mod:`repro.net.sinr` when editing:
@@ -44,8 +46,9 @@ invariants make this work; keep them in lockstep with
 Most cache state is kept in plain Python lists rather than numpy arrays:
 the per-move working set is a handful of scalars, where list indexing
 beats numpy scalar indexing by an order of magnitude.  The price is an
-extra Python-native copy of the gain tensor (``U·N·S`` floats), paid
-once per scenario.
+extra band-major copy of the gain tensor (``U·N·S`` raw doubles in one
+``array('d')`` per user, a third of the memory of nested float lists),
+paid once per scenario.
 
 Touched-set protocol
 --------------------
@@ -61,6 +64,7 @@ scratch-array loops.
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
 from typing import Iterable, List, Optional, Tuple, TYPE_CHECKING
 
@@ -76,7 +80,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 class DeltaEvaluator(ObjectiveEvaluator):
     """Cache-backed evaluator producing bitwise-identical ``J*(X)``.
 
-    Construction costs ``O(U·S·N)`` time and memory (the Python-native
+    Construction costs ``O(U·S·N)`` time and memory (the band-major
     gain copy); :meth:`rebuild` resets the cache to the all-local
     assignment, after which the evaluator is indistinguishable from a
     fresh one.
@@ -104,8 +108,11 @@ class DeltaEvaluator(ObjectiveEvaluator):
         self._noise = float(scenario.noise_watts)
         self._n_servers = scenario.n_servers
         self._cpu_hz = scenario.server_cpu_hz
-        #: ``_gain_rows[u][j][s]`` = ``h[u, s, j]``, band-major.
-        self._gain_rows = scenario.gains.transpose(0, 2, 1).tolist()
+        #: ``_gain_rows[u][j * S + s]`` = ``h[u, s, j]``: one flat
+        #: band-major array of raw doubles per user; slicing out a band
+        #: yields plain Python floats, exactly as a nested list would.
+        band_major = np.ascontiguousarray(scenario.gains.transpose(0, 2, 1))
+        self._gain_rows = [array("d", gains.tobytes()) for gains in band_major]
         #: ``_external_rows[j][s]``: frozen out-of-instance received power,
         #: added to a band's bucket after its occupant sum (invariant 1).
         self._external_rows: Optional[List[List[float]]] = (
@@ -251,7 +258,9 @@ class DeltaEvaluator(ObjectiveEvaluator):
                 insort(self._band_users[new_band], u)
                 self._n_offloaded += 1
                 p = self._p_list[u]
-                row = [g * p for g in self._gain_rows[u][new_band]]
+                start = new_band * self._n_servers
+                gains = self._gain_rows[u][start:start + self._n_servers]
+                row = [g * p for g in gains]
                 rx_rows[u] = row
                 self._signal[u] = row[new_server]
         # Rebuild the received-power buckets of every touched band by

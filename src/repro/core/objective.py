@@ -6,8 +6,8 @@ Three evaluation paths are provided and kept consistent (property-tested):
   optimal-value function ``J*(X)`` of Eq. (24) directly from the closed
   forms — ``sum lam_u (beta_t + beta_e)`` over offloaders minus the
   communication cost ``Gamma(X)`` (first term of Eq. 19) minus the optimal
-  computation cost ``Lambda(X, F*)`` (Eq. 23).  This is the annealer's
-  inner-loop objective.
+  computation cost ``Lambda(X, F*)`` (Eq. 23).  This is the scalar
+  reference the search loops' incremental scorer is checked against.
 
 * the **explicit path** :meth:`ObjectiveEvaluator.breakdown` materialises
   the per-user delays, energies and utilities of Eq. (8)-(10) for a given
@@ -16,7 +16,8 @@ Three evaluation paths are provided and kept consistent (property-tested):
 
 * the **delta path** :class:`~repro.core.delta.DeltaEvaluator` computes
   the same ``J*(X)`` incrementally from a cache of the previous
-  assignment, recomputing only the terms a single-user move can change.
+  assignment, recomputing only the terms a single-user move can change;
+  it is the default scorer of TSAJS, hJTORA and LocalSearch.
   It is bit-for-bit equal to the fast path; to make that possible the
   fast path below reduces over *fixed-length* masked arrays (zeros for
   local users) in a fixed order, which the delta path maintains

@@ -95,19 +95,17 @@ class TsajsScheduler:
         Density of the random feasible initial solution.
     record_trace:
         Keep a per-temperature best-utility trace in the result.
-    use_delta:
-        Score candidates with the incremental
-        :class:`~repro.core.delta.DeltaEvaluator` instead of re-running
-        the full ``O(U·S·N)`` evaluation per move.  The delta path is
-        bit-for-bit equal to the full path, so with a fixed RNG the two
-        settings produce the exact same decision, allocation and
-        utility — this is purely a wall-clock optimisation.
     evaluator_factory:
-        Builds the objective evaluator for a scenario; override to plug in
-        extended objectives (e.g. the downlink-aware evaluator).  With
-        ``use_delta=True`` the factory's evaluator must expose the
-        :class:`~repro.core.delta.DeltaEvaluator` ``evaluate_move``
-        interface.
+        Builds the objective evaluator for a scenario; defaults to the
+        incremental :class:`~repro.core.delta.DeltaEvaluator`.  The
+        evaluator picks the annealer's lane: one exposing
+        ``evaluate_move`` scores each move from its cache (the
+        ``propose_move``/``move_objective`` lane), any other evaluator —
+        :class:`~repro.core.objective.ObjectiveEvaluator`, the scalar
+        reference, or an extended objective such as the downlink-aware
+        evaluator — rescores every candidate in full.  The two lanes are
+        bit-for-bit equal, so with a fixed RNG they return the exact
+        same decision, allocation, utility and evaluation count.
     """
 
     name = "TSAJS"
@@ -118,10 +116,9 @@ class TsajsScheduler:
         neighborhood: Optional[NeighborhoodSampler] = None,
         initial_offload_probability: float = 0.5,
         record_trace: bool = False,
-        use_delta: bool = False,
-        evaluator_factory: Optional[
-            Callable[["Scenario"], ObjectiveEvaluator]
-        ] = None,
+        evaluator_factory: Callable[
+            ["Scenario"], ObjectiveEvaluator
+        ] = DeltaEvaluator,
     ) -> None:
         if not 0.0 <= initial_offload_probability <= 1.0:
             raise ConfigurationError(
@@ -134,9 +131,6 @@ class TsajsScheduler:
         )
         self.initial_offload_probability = initial_offload_probability
         self.record_trace = record_trace
-        self.use_delta = use_delta
-        if evaluator_factory is None:
-            evaluator_factory = DeltaEvaluator if use_delta else ObjectiveEvaluator
         self.evaluator_factory = evaluator_factory
 
     def schedule(
@@ -167,7 +161,6 @@ class TsajsScheduler:
             n_users=scenario.n_users,
             n_servers=scenario.n_servers,
             n_subbands=scenario.n_subbands,
-            use_delta=self.use_delta,
             warm_start=initial is not None,
         ):
             evaluator = self.evaluator_factory(scenario)
@@ -197,13 +190,7 @@ class TsajsScheduler:
                 initial = initial.copy()
             annealer = ThresholdTriggeredAnnealer(self.schedule_params)
             delta_kwargs: Dict[str, Any] = {}
-            if self.use_delta:
-                if not hasattr(evaluator, "evaluate_move"):
-                    raise ConfigurationError(
-                        "use_delta=True needs an evaluator with evaluate_move "
-                        f"(got {type(evaluator).__name__}); use DeltaEvaluator "
-                        "or a subclass as the evaluator_factory"
-                    )
+            if hasattr(evaluator, "evaluate_move"):
                 delta_kwargs = dict(
                     propose_move=self.neighborhood.propose_move,
                     move_objective=evaluator.evaluate_move,

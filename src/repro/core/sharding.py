@@ -5,7 +5,7 @@ along the spatial partition of :mod:`repro.core.partition`:
 
 1. every cluster is extracted as an independent sub-scenario and solved
    by a plain :class:`~repro.core.scheduler.TsajsScheduler` (on the
-   scalar or the delta evaluation path);
+   incremental evaluator by default, or on the scalar reference);
 2. the per-cluster decisions are stitched into one global decision —
    feasible by construction, since a cluster's users only occupy slots
    of the cluster's own stations;
@@ -14,8 +14,8 @@ along the spatial partition of :mod:`repro.core.partition`:
    objective (``external_rx``) and the stitched decision as the
    ``schedule(initial=...)`` warm start, accepting a cluster's update
    only when the *globally* evaluated utility improves.  These
-   re-anneals run on the same evaluation path as the cluster solves
-   (``use_delta``); both evaluators model ``external_rx`` bit for bit.
+   re-anneals run on the same evaluator as the cluster solves; both
+   evaluators model ``external_rx`` bit for bit.
 
 Determinism contract: with a fixed input generator the full run is a
 pure function of ``(scenario, seed)``.  The caller's generator is used
@@ -40,7 +40,7 @@ decomposition within the cell.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -88,12 +88,22 @@ class ShardedScheduler:
     max_reconcile_rounds:
         Fixed-point iteration cap for the boundary pass; ``0`` disables
         reconciliation entirely.
-    schedule, neighborhood, initial_offload_probability, record_trace,
-    use_delta:
+    schedule, neighborhood, initial_offload_probability, record_trace:
         Forwarded to the inner :class:`~repro.core.scheduler.TsajsScheduler`
         instances, both the per-cluster solves and the boundary
         re-anneals.  With ``record_trace`` the result's trace is the
         concatenation of the per-cluster traces in cluster order.
+    evaluator_factory:
+        Builds the inner solvers' evaluators, called as
+        ``factory(scenario, external_rx=...)``.  Defaults to the
+        incremental :class:`~repro.core.delta.DeltaEvaluator`;
+        :class:`~repro.core.objective.ObjectiveEvaluator` is the scalar
+        reference.  The evaluator picks the annealer's lane; both return
+        the same bits.
+    use_delta:
+        Older spelling of the same choice, used only when
+        ``evaluator_factory`` is unset: ``False`` selects
+        :class:`~repro.core.objective.ObjectiveEvaluator`.
     """
 
     name = "TSAJS-Shard"
@@ -107,7 +117,8 @@ class ShardedScheduler:
         neighborhood: Optional[NeighborhoodSampler] = None,
         initial_offload_probability: float = 0.5,
         record_trace: bool = False,
-        use_delta: bool = False,
+        use_delta: bool = True,
+        evaluator_factory: Optional[Callable[..., ObjectiveEvaluator]] = None,
     ) -> None:
         if not cluster_radius_km > 0.0:
             raise ConfigurationError(
@@ -132,7 +143,9 @@ class ShardedScheduler:
         )
         self.initial_offload_probability = initial_offload_probability
         self.record_trace = record_trace
-        self.use_delta = use_delta
+        if evaluator_factory is None:
+            evaluator_factory = DeltaEvaluator if use_delta else ObjectiveEvaluator
+        self.evaluator_factory = evaluator_factory
 
     # --- Inner-scheduler factory ------------------------------------------
 
@@ -144,7 +157,7 @@ class ShardedScheduler:
         ``external_rx`` freezes the out-of-cluster interference into the
         objective for the boundary re-anneals.
         """
-        evaluator = DeltaEvaluator if self.use_delta else ObjectiveEvaluator
+        evaluator = self.evaluator_factory
 
         def factory(scenario: "Scenario") -> ObjectiveEvaluator:
             return evaluator(scenario, external_rx=external_rx)
@@ -154,7 +167,6 @@ class ShardedScheduler:
             neighborhood=self.neighborhood,
             initial_offload_probability=self.initial_offload_probability,
             record_trace=self.record_trace,
-            use_delta=self.use_delta,
             evaluator_factory=factory,
         )
 

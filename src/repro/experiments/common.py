@@ -27,18 +27,12 @@ SCHEME_ORDER = ("Exhaustive", "TSAJS", "hJTORA", "LocalSearch", "Greedy")
 def make_tsajs(
     chain_length: int = 30,
     min_temperature: float = 1e-9,
-    use_delta: bool = False,
 ) -> TsajsScheduler:
-    """A TSAJS instance with the paper's schedule except ``L``/``T_min``.
-
-    ``use_delta=True`` scores moves with the incremental evaluator; the
-    results are bit-for-bit the same, only faster.
-    """
+    """A TSAJS instance with the paper's schedule except ``L``/``T_min``."""
     return TsajsScheduler(
         schedule=AnnealingSchedule(
             chain_length=chain_length, min_temperature=min_temperature
         ),
-        use_delta=use_delta,
     )
 
 
@@ -47,7 +41,6 @@ def standard_schedulers(
     min_temperature: float = 1e-9,
     include_exhaustive: bool = False,
     local_search_iterations: int = 5000,
-    use_delta: bool = False,
 ) -> List[Scheduler]:
     """The paper's comparison set, in :data:`SCHEME_ORDER`."""
     schedulers: List[Scheduler] = []
@@ -55,7 +48,7 @@ def standard_schedulers(
         schedulers.append(ExhaustiveScheduler())
     schedulers.extend(
         [
-            make_tsajs(chain_length, min_temperature, use_delta=use_delta),
+            make_tsajs(chain_length, min_temperature),
             HJtoraScheduler(),
             LocalSearchScheduler(max_iterations=local_search_iterations),
             GreedyScheduler(),

@@ -2,14 +2,15 @@
 
 Maps the scheme names used throughout the paper (and this library's
 extensions) to constructor callables, with a ``quick`` knob for the
-annealer-based schemes and a ``use_delta`` knob selecting the
-incremental (bitwise-equal) evaluation path for the TSAJS variants.
+annealer-based schemes and an ``evaluator_factory`` for the search
+schemes (``ObjectiveEvaluator`` selects the scalar reference lane the
+incremental default is checked against).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.baselines import (
     AllLocalScheduler,
@@ -21,10 +22,18 @@ from repro.baselines import (
     RandomScheduler,
 )
 from repro.core.annealing import AnnealingSchedule
+from repro.core.delta import DeltaEvaluator
+from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import Scheduler, TsajsScheduler
 from repro.core.sharding import ShardedScheduler
 from repro.errors import ConfigurationError
 from repro.extensions.power_control import TsajsWithPowerControl
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.sim.scenario import Scenario
+
+#: Builds a scheme's objective evaluator for one scenario.
+EvaluatorFactory = Callable[["Scenario"], ObjectiveEvaluator]
 
 #: Stop temperature used by annealer-based schemes in quick mode.
 QUICK_MIN_TEMPERATURE = 1e-2
@@ -34,10 +43,13 @@ QUICK_MIN_TEMPERATURE = 1e-2
 class SchemeOptions:
     """Construction knobs shared by every scheme factory.
 
-    ``quick`` shortens the annealing schedule; ``use_delta`` picks the
-    incremental evaluation path for the TSAJS variants (bitwise-equal to
-    the scalar path).  Baselines without an annealer inner loop ignore
-    it.
+    ``quick`` shortens the annealing schedule.  ``evaluator_factory``
+    builds the evaluator of the schemes that score search moves (the
+    TSAJS variants, hJTORA and LocalSearch); the evaluator picks the
+    lane, so ``ObjectiveEvaluator`` runs them on the scalar reference
+    lane, bitwise-equal to the incremental default.  The sharded solver
+    calls it as ``factory(scenario, external_rx=...)``.  Other baselines
+    ignore it.
 
     ``use_sharding`` swaps the TSAJS factory for the spatially sharded
     solver (``TSAJS-Shard`` always builds it); ``cluster_radius_km``,
@@ -46,7 +58,7 @@ class SchemeOptions:
     """
 
     quick: bool = False
-    use_delta: bool = False
+    evaluator_factory: EvaluatorFactory = DeltaEvaluator
     use_sharding: bool = False
     cluster_radius_km: float = 2.0
     interference_radius_km: Optional[float] = None
@@ -65,7 +77,7 @@ def _sharded(opts: SchemeOptions) -> ShardedScheduler:
         interference_radius_km=opts.interference_radius_km,
         max_reconcile_rounds=opts.max_reconcile_rounds,
         schedule=_annealing(opts.quick),
-        use_delta=opts.use_delta,
+        evaluator_factory=opts.evaluator_factory,
     )
 
 
@@ -73,15 +85,19 @@ def _sharded(opts: SchemeOptions) -> ShardedScheduler:
 SCHEME_FACTORIES: Dict[str, Callable[[SchemeOptions], Scheduler]] = {
     "TSAJS": lambda opts: _sharded(opts)
     if opts.use_sharding
-    else TsajsScheduler(schedule=_annealing(opts.quick), use_delta=opts.use_delta),
+    else TsajsScheduler(
+        schedule=_annealing(opts.quick), evaluator_factory=opts.evaluator_factory
+    ),
     "TSAJS-Shard": _sharded,
-    "hJTORA": lambda opts: HJtoraScheduler(),
-    "LocalSearch": lambda opts: LocalSearchScheduler(),
+    "hJTORA": lambda opts: HJtoraScheduler(evaluator_factory=opts.evaluator_factory),
+    "LocalSearch": lambda opts: LocalSearchScheduler(
+        evaluator_factory=opts.evaluator_factory
+    ),
     "Greedy": lambda opts: GreedyScheduler(),
     "Exhaustive": lambda opts: ExhaustiveScheduler(),
     "GA": lambda opts: GeneticScheduler(generations=20 if opts.quick else 80),
     "TSAJS-PC": lambda opts: TsajsWithPowerControl(
-        schedule=_annealing(opts.quick), use_delta=opts.use_delta
+        schedule=_annealing(opts.quick), evaluator_factory=opts.evaluator_factory
     ),
     "AllLocal": lambda opts: AllLocalScheduler(),
     "Random": lambda opts: RandomScheduler(samples=10),
@@ -96,7 +112,7 @@ def available_schemes() -> List[str]:
 def build_schemes(
     names: List[str],
     quick: bool = False,
-    use_delta: bool = False,
+    evaluator_factory: EvaluatorFactory = DeltaEvaluator,
     use_sharding: bool = False,
     cluster_radius_km: float = 2.0,
     interference_radius_km: Optional[float] = None,
@@ -110,7 +126,7 @@ def build_schemes(
         raise ConfigurationError(f"duplicate scheme names: {names}")
     opts = SchemeOptions(
         quick=quick,
-        use_delta=use_delta,
+        evaluator_factory=evaluator_factory,
         use_sharding=use_sharding,
         cluster_radius_km=cluster_radius_km,
         interference_radius_km=interference_radius_km,

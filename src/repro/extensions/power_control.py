@@ -25,12 +25,14 @@ that missing degree of freedom as a post-processing stage:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.core.annealing import AnnealingSchedule
 from repro.core.decision import OffloadingDecision
+from repro.core.delta import DeltaEvaluator
+from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import ScheduleResult, TsajsScheduler
 from repro.errors import ConfigurationError
 from repro.net.sinr import compute_link_stats
@@ -248,6 +250,8 @@ class TsajsWithPowerControl:
     Each round runs TSAJS on the current scenario, then optimises the
     powers for the decision found; the adjusted powers feed the next
     round.  With ``rounds=1`` this is TSAJS plus one power post-pass.
+    ``evaluator_factory`` is forwarded to the inner
+    :class:`~repro.core.scheduler.TsajsScheduler`.
     """
 
     name = "TSAJS-PC"
@@ -258,11 +262,13 @@ class TsajsWithPowerControl:
         rounds: int = 2,
         p_min_watts: float = 1e-3,
         p_max_watts: float = 0.1,
-        use_delta: bool = False,
+        evaluator_factory: Callable[[Scenario], ObjectiveEvaluator] = DeltaEvaluator,
     ) -> None:
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
-        self.tsajs = TsajsScheduler(schedule=schedule, use_delta=use_delta)
+        self.tsajs = TsajsScheduler(
+            schedule=schedule, evaluator_factory=evaluator_factory
+        )
         self.rounds = rounds
         self.p_min_watts = p_min_watts
         self.p_max_watts = p_max_watts

@@ -59,9 +59,6 @@ class SimulationConfig:
     operator_weight: float = 1.0
 
     # Execution knobs (wall-clock only: none changes any result bit).
-    #: Score annealer moves with the incremental
-    #: :class:`~repro.core.delta.DeltaEvaluator` (bitwise-equal fast path).
-    use_delta: bool = False
     #: Default process count for multi-seed runs (1 = run in-process).
     n_workers: int = 1
 

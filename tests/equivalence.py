@@ -1,13 +1,15 @@
 """Equivalence-test harness: replay one RNG stream through every
 evaluation path and compare whole trajectories, not just endpoints.
 
-The library claims that ``use_delta`` is a pure wall-clock
-optimisation: with a fixed RNG, the scalar and delta paths walk
-**bitwise-identical** accepted-move chains.  This module turns that
-claim into a reusable assertion:
+The library claims that the evaluator is a pure wall-clock choice:
+with a fixed RNG, a search scored by the scalar reference
+(``evaluator_factory=ObjectiveEvaluator``) and one scored by the default
+incremental evaluator walk **bitwise-identical** chains.  This module
+turns that claim into a reusable assertion:
 
-* :func:`run_trajectory` runs TSAJS on a scenario in either mode and
-  captures everything that could diverge — the utility bits,
+* :func:`run_trajectory` runs one search scheme (TSAJS, hJTORA or
+  LocalSearch) on a scenario in either mode and captures everything
+  that could diverge — the utility bits,
   the final decision and allocation, the accepted-move count, the full
   per-level best-value trace and the *final RNG state* (which pins the
   exact number and order of every draw the run consumed).
@@ -26,13 +28,19 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
+from repro.baselines import HJtoraScheduler, LocalSearchScheduler
 from repro.core.annealing import AnnealingSchedule
-from repro.core.scheduler import TsajsScheduler
+from repro.core.objective import ObjectiveEvaluator
+from repro.core.scheduler import Scheduler, TsajsScheduler
 from repro.sim.rng import child_rng
 from repro.sim.scenario import Scenario
 
-#: The evaluation paths under the bitwise-identity contract.
+#: The evaluation lanes under the bitwise-identity contract: the scalar
+#: reference and each scheme's default (incremental) evaluator.
 MODES = ("scalar", "delta")
+
+#: The search schemes whose moves are scored on either lane.
+SCHEMES = ("TSAJS", "hJTORA", "LocalSearch")
 
 
 @dataclass
@@ -52,13 +60,25 @@ class Trajectory:
     rng_state: Any
 
 
-def make_scheduler(mode: str, schedule: AnnealingSchedule) -> TsajsScheduler:
-    """A TSAJS scheduler on the requested evaluation path."""
+def _lane(mode: str) -> dict:
+    """Constructor keywords selecting ``mode``'s evaluator."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return TsajsScheduler(
-        schedule=schedule, record_trace=True, use_delta=mode == "delta"
-    )
+    return {"evaluator_factory": ObjectiveEvaluator} if mode == "scalar" else {}
+
+
+def make_scheduler(
+    mode: str, schedule: AnnealingSchedule, scheme: str = "TSAJS"
+) -> Scheduler:
+    """A search scheduler on the requested evaluation lane."""
+    lane = _lane(mode)
+    if scheme == "TSAJS":
+        return TsajsScheduler(schedule=schedule, record_trace=True, **lane)
+    if scheme == "hJTORA":
+        return HJtoraScheduler(**lane)
+    if scheme == "LocalSearch":
+        return LocalSearchScheduler(**lane)
+    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
 def run_trajectory(
@@ -67,11 +87,15 @@ def run_trajectory(
     mode: str,
     schedule: Optional[AnnealingSchedule] = None,
     stream: int = 100,
+    scheme: str = "TSAJS",
 ) -> Trajectory:
-    """Run TSAJS in ``mode`` from the deterministic ``child_rng`` stream."""
+    """Run ``scheme`` in ``mode`` from the deterministic ``child_rng`` stream.
+
+    ``schedule`` applies to TSAJS only.
+    """
     if schedule is None:
         schedule = AnnealingSchedule(chain_length=15, min_temperature=1e-2)
-    scheduler = make_scheduler(mode, schedule)
+    scheduler = make_scheduler(mode, schedule, scheme)
     rng = child_rng(seed, stream)
     result = scheduler.schedule(scenario, rng)
     return Trajectory(
@@ -105,8 +129,7 @@ def run_sharded_trajectory(
     """
     from repro.core.sharding import ShardedScheduler
 
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    lane = _lane(mode)
     if schedule is None:
         schedule = AnnealingSchedule(chain_length=15, min_temperature=1e-2)
     scheduler = ShardedScheduler(
@@ -115,7 +138,7 @@ def run_sharded_trajectory(
         max_reconcile_rounds=max_reconcile_rounds,
         schedule=schedule,
         record_trace=True,
-        use_delta=mode == "delta",
+        **lane,
     )
     rng = child_rng(seed, stream)
     result = scheduler.schedule(scenario, rng)

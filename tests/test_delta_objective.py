@@ -237,7 +237,7 @@ class TestEdgeCases:
 
 
 class TestSchedulerTrajectoryEquality:
-    """The acceptance check: use_delta=True reproduces the exact run."""
+    """The acceptance check: the delta lane reproduces the scalar run."""
 
     @pytest.mark.parametrize(
         "config",
@@ -247,10 +247,10 @@ class TestSchedulerTrajectoryEquality:
     def test_exact_same_best_decision_and_objective(self, config):
         scenario = Scenario.build(config, seed=7)
         schedule = AnnealingSchedule(chain_length=10, min_temperature=1e-3)
-        full = TsajsScheduler(schedule=schedule, use_delta=False).schedule(
-            scenario, child_rng(7, 100)
-        )
-        fast = TsajsScheduler(schedule=schedule, use_delta=True).schedule(
+        full = TsajsScheduler(
+            schedule=schedule, evaluator_factory=ObjectiveEvaluator
+        ).schedule(scenario, child_rng(7, 100))
+        fast = TsajsScheduler(schedule=schedule).schedule(
             scenario, child_rng(7, 100)
         )
         assert fast.decision == full.decision

@@ -30,7 +30,9 @@ from repro.analysis.convergence import (
 )
 from repro.core.annealing import AnnealingSchedule
 from repro.core.degradation import degrade
+from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import TsajsScheduler
+from repro.extensions.downlink import DownlinkAwareEvaluator
 from repro.faults import FaultConfig, FaultSet, apply_faults, draw_faults_for_seed
 from repro.obs.clock import TickClock
 from repro.obs.recorder import set_recorder, use_recorder
@@ -55,15 +57,18 @@ def _scenario(seed: int = 2025) -> Scenario:
     return Scenario.build(CONFIG, seed=seed)
 
 
-def _scheduler(**kwargs) -> TsajsScheduler:
+def _scheduler(delta: bool = True, **kwargs) -> TsajsScheduler:
+    """TSAJS on the default delta lane, or on the scalar reference."""
     kwargs.setdefault("schedule", SCHEDULE)
+    if not delta:
+        kwargs["evaluator_factory"] = ObjectiveEvaluator
     return TsajsScheduler(**kwargs)
 
 
 def _traced_run(seed: int = 2025, *, iteration_detail: bool = False,
-                record_trace: bool = False, use_delta: bool = False):
+                record_trace: bool = False, delta: bool = True):
     scenario = _scenario(seed)
-    scheduler = _scheduler(record_trace=record_trace, use_delta=use_delta)
+    scheduler = _scheduler(delta, record_trace=record_trace)
     recorder = TraceRecorder(clock=TickClock(), iteration_detail=iteration_detail)
     with use_recorder(recorder):
         result = scheduler.schedule(scenario, child_rng(seed, 100))
@@ -71,16 +76,16 @@ def _traced_run(seed: int = 2025, *, iteration_detail: bool = False,
 
 
 class TestBitwiseIdentity:
-    @pytest.mark.parametrize("use_delta", [False, True])
+    @pytest.mark.parametrize("delta", [False, True])
     @pytest.mark.parametrize("iteration_detail", [False, True])
     def test_tracing_never_perturbs_the_trajectory(
-        self, use_delta, iteration_detail
+        self, delta, iteration_detail
     ):
         scenario = _scenario()
-        scheduler = _scheduler(use_delta=use_delta)
+        scheduler = _scheduler(delta)
         untraced = scheduler.schedule(scenario, child_rng(2025, 100))
         traced, records = _traced_run(
-            iteration_detail=iteration_detail, use_delta=use_delta
+            iteration_detail=iteration_detail, delta=delta
         )
         assert traced.utility == untraced.utility
         assert traced.evaluations == untraced.evaluations
@@ -152,16 +157,38 @@ class TestAnnealTraceFidelity:
         assert accepted == result.accepted_moves
 
     def test_scheduler_result_event_splits_eval_counters(self):
-        result, records = _traced_run(use_delta=True)
+        result, records = _traced_run(delta=True)
         (event,) = events_named(records, "scheduler.result")
         attrs = event["attrs"]
         assert attrs["evaluations"] == result.evaluations
         assert attrs["fast_evals"] + attrs["full_evals"] == attrs["evaluations"]
         assert attrs["fast_evals"] > attrs["full_evals"]  # delta path dominates
 
+    @pytest.mark.parametrize(
+        "factory", [ObjectiveEvaluator, DownlinkAwareEvaluator]
+    )
+    def test_generic_lane_counts_every_evaluation_as_full(self, factory):
+        """An evaluator without evaluate_move runs the generic lane; the
+        result event's split still sums to the evaluation count."""
+        scenario = _scenario()
+        scheduler = _scheduler(evaluator_factory=factory)
+        recorder = TraceRecorder(clock=TickClock())
+        with use_recorder(recorder):
+            result = scheduler.schedule(scenario, child_rng(2025, 100))
+        (run,) = [
+            r for r in recorder.records
+            if r["name"] == "anneal.run" and r["kind"] == "span_start"
+        ]
+        assert run["attrs"]["delta_mode"] is False
+        (event,) = events_named(recorder.records, "scheduler.result")
+        attrs = event["attrs"]
+        assert attrs["evaluations"] == result.evaluations
+        assert attrs["fast_evals"] == 0
+        assert attrs["full_evals"] == attrs["evaluations"]
+
     def test_delta_counters_consistent_without_recorder(self):
         scenario = _scenario()
-        scheduler = _scheduler(use_delta=True)
+        scheduler = _scheduler()
         result = scheduler.schedule(scenario, child_rng(2025, 100))
         evaluator = scheduler.evaluator_factory(scenario)
         # Fresh evaluator starts at zero; the run's evaluator is internal,

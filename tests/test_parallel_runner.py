@@ -37,7 +37,6 @@ def fig4_schedulers():
     return [
         TsajsScheduler(
             schedule=AnnealingSchedule(chain_length=10, min_temperature=1e-2),
-            use_delta=True,
         ),
         GreedyScheduler(),
     ]
@@ -71,7 +70,7 @@ def test_parallel_bitwise_identical_to_serial():
 def test_n_workers_resolved_from_config():
     """run_schemes(n_jobs=None) honours config.n_workers."""
     config = SimulationConfig(
-        n_users=8, n_servers=3, n_subbands=2, n_workers=2, use_delta=True
+        n_users=8, n_servers=3, n_subbands=2, n_workers=2
     )
     seeds = [1, 2]
     schedulers = fig4_schedulers()
@@ -89,7 +88,7 @@ def test_oversubscribed_workers_bitwise_identical_to_serial():
     merged metrics must still equal the serial run bit for bit.
     """
     config = SimulationConfig(
-        n_users=8, n_servers=3, n_subbands=2, use_delta=True
+        n_users=8, n_servers=3, n_subbands=2
     )
     seeds = [1, 2, 3]
     schedulers = fig4_schedulers()

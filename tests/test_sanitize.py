@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.delta import DeltaEvaluator
+from repro.core.objective import ObjectiveEvaluator
 from repro.errors import DeterminismViolation
 from repro.experiments.persistence import SweepJournal
 from repro.experiments.schemes import build_schemes
@@ -163,11 +165,15 @@ class TestObserverSeam:
         assert set(inner.ledgers) == {"root:2"}
 
 
-def _solve_snapshot(seed, use_delta):
+def _solve_snapshot(seed, delta):
     config = SimulationConfig(n_users=8, n_servers=3)
     with sanitized() as sanitizer:
         scenario = Scenario.build(config, seed=seed)
-        schedulers = build_schemes(["TSAJS"], quick=True, use_delta=use_delta)
+        schedulers = build_schemes(
+            ["TSAJS"],
+            quick=True,
+            evaluator_factory=DeltaEvaluator if delta else ObjectiveEvaluator,
+        )
         utilities = {}
         for index, scheduler in enumerate(schedulers):
             rng = child_rng(seed, 100 + index)
