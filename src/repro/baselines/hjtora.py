@@ -18,7 +18,7 @@ sub-channel count than Greedy/LocalSearch (Fig. 8).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple, cast
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -47,10 +47,11 @@ class HJtoraScheduler:
         ties.
     evaluator_factory:
         Builds the objective evaluator; defaults to the incremental
-        :class:`~repro.core.delta.DeltaEvaluator`.  An evaluator without
-        ``evaluate_move`` (e.g. the scalar
-        :class:`~repro.core.objective.ObjectiveEvaluator`) rescores every
-        candidate in full; both lanes return the same bits.
+        :class:`~repro.core.delta.DeltaEvaluator`, whose
+        ``evaluate_placements`` scores all of a user's candidates in one
+        what-if pass.  The scalar
+        :class:`~repro.core.objective.ObjectiveEvaluator` rescores every
+        candidate in full; both return the same bits.
     """
 
     name = "hJTORA"
@@ -81,52 +82,30 @@ class HJtoraScheduler:
 
         server = decision.server
         channel = decision.channel
-        # The evaluator picks the lane: one with ``evaluate_move`` speaks
-        # DeltaEvaluator's touched-set protocol and rescores only the
-        # users that differ from the last *evaluated* assignment.
-        # ``pending`` holds them — the previous candidate's user (its
-        # probe was undone) plus the move applied at the end of a round.
-        incremental = (
-            cast(DeltaEvaluator, evaluator)
-            if hasattr(evaluator, "evaluate_move")
-            else None
-        )
+        revoke = (LOCAL, LOCAL)
+        # Users whose slot changed since the evaluator last synced to the
+        # vectors: only the move applied at the end of a round.  The
+        # scalar reference ignores the hint and rescores in full.
         pending: Tuple[int, ...] = ()
-
-        def score(u: int) -> float:
-            nonlocal pending
-            if incremental is None:
-                return evaluator.evaluate_assignment(server, channel)
-            value = incremental.evaluate_assignment(
-                server, channel, touched=pending + (u,)
-            )
-            pending = (u,)
-            return value
-
         for _ in range(self.max_rounds):
             best_delta = 0.0
             best_move = None  # (user, server, channel) with LOCAL for revoke
-            # Only server/channel are probed inside a round, so the slot
-            # table — and with it the free-slot list — is fixed until the
-            # round's move is applied.  A user's own slot is occupied by
-            # that user, so it never appears here.
+            # The slot table is fixed until the round's move is applied,
+            # and with it the free-slot list.  A user's own slot is
+            # occupied by that user, so it never appears here.
             free_slots = [
                 (s, j) for s in range(n_servers) for j in decision.free_channels(s)
             ]
+            revoke_or_free = [revoke] + free_slots
             for u in range(n_users):
-                old_s, old_j = int(server[u]), int(channel[u])
-                # Candidate: revoke the offload.
-                if old_s != LOCAL:
-                    server[u], channel[u] = LOCAL, LOCAL
-                    delta = score(u) - current_value
-                    server[u], channel[u] = old_s, old_j
-                    if delta > best_delta:
-                        best_delta, best_move = delta, (u, LOCAL, LOCAL)
-                # Candidates: move to every free slot.
-                for s, j in free_slots:
-                    server[u], channel[u] = s, j
-                    delta = score(u) - current_value
-                    server[u], channel[u] = old_s, old_j
+                # Candidates: revoke an offload, then every free slot.
+                slots = free_slots if server[u] == LOCAL else revoke_or_free
+                values = evaluator.evaluate_placements(
+                    server, channel, u, slots, touched=pending
+                )
+                pending = ()
+                for (s, j), value in zip(slots, values):
+                    delta = value - current_value
                     if delta > best_delta:
                         best_delta, best_move = delta, (u, s, j)
             if best_move is None:
@@ -136,7 +115,7 @@ class HJtoraScheduler:
                 decision.set_local(u)
             else:
                 decision.assign(u, s, j)
-            pending += (u,)
+            pending = (u,)
             current_value += best_delta
 
         utility = evaluator.evaluate(decision)

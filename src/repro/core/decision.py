@@ -9,7 +9,10 @@ The paper encodes a decision as a binary tensor ``x[u, s, j]`` subject to
 Because (12c) makes the rows one-hot-or-zero, the library uses the compact
 equivalent encoding of two integer vectors — ``server_of_user`` and
 ``channel_of_user`` with ``-1`` meaning local execution — plus a slot
-occupancy map kept in sync by the mutation helpers.  (12c) is structural in
+occupancy map kept in sync by the mutation helpers.  The map is a list of
+per-server Python lists of plain ``int``: the searches query single slots
+in their inner loops, where list indexing beats numpy scalar indexing by
+an order of magnitude.  (12c) is structural in
 this encoding; (12d) is enforced by the mutators and checked by
 :meth:`OffloadingDecision.is_feasible`.
 """
@@ -69,7 +72,8 @@ class OffloadingDecision:
                     "assignment vectors must have shape "
                     f"({n_users},), got {self.server.shape} / {self.channel.shape}"
                 )
-        self._slots = np.full((n_servers, n_channels), LOCAL, dtype=np.int64)
+        #: ``_slots[s][j]``: user holding slot ``(s, j)``, or ``LOCAL``.
+        self._slots: List[List[int]] = []
         self._rebuild_slots()
 
     # --- Construction helpers ---------------------------------------------
@@ -117,9 +121,8 @@ class OffloadingDecision:
     # --- Internal invariants ----------------------------------------------
 
     def _rebuild_slots(self) -> None:
-        self._slots.fill(LOCAL)
-        for u in range(self.n_users):
-            s, j = int(self.server[u]), int(self.channel[u])
+        self._slots = [[LOCAL] * self.n_channels for _ in range(self.n_servers)]
+        for u, (s, j) in enumerate(zip(self.server.tolist(), self.channel.tolist())):
             if s == LOCAL and j == LOCAL:
                 continue
             if s == LOCAL or j == LOCAL:
@@ -130,12 +133,12 @@ class OffloadingDecision:
                 raise InfeasibleDecisionError(
                     f"user {u}: slot ({s}, {j}) out of range"
                 )
-            if self._slots[s, j] != LOCAL:
+            if self._slots[s][j] != LOCAL:
                 raise InfeasibleDecisionError(
-                    f"slot ({s}, {j}) assigned to users {self._slots[s, j]} and {u} "
+                    f"slot ({s}, {j}) assigned to users {self._slots[s][j]} and {u} "
                     "(violates constraint 12d)"
                 )
-            self._slots[s, j] = u
+            self._slots[s][j] = u
 
     # --- Queries ------------------------------------------------------------
 
@@ -144,7 +147,7 @@ class OffloadingDecision:
 
     def occupant_of(self, server: int, channel: int) -> int:
         """User occupying slot ``(server, channel)``, or ``LOCAL`` if free."""
-        return int(self._slots[server, channel])
+        return self._slots[server][channel]
 
     def offloaded_users(self) -> np.ndarray:
         """Indices of users currently offloading."""
@@ -156,7 +159,7 @@ class OffloadingDecision:
 
     def free_channels(self, server: int) -> List[int]:
         """Sub-bands of ``server`` with no occupant."""
-        return [j for j in range(self.n_channels) if self._slots[server, j] == LOCAL]
+        return [j for j, occupant in enumerate(self._slots[server]) if occupant == LOCAL]
 
     def n_offloaded(self) -> int:
         return int(np.count_nonzero(self.server >= 0))
@@ -196,7 +199,7 @@ class OffloadingDecision:
         """Revoke ``user``'s offload, freeing its slot."""
         s, j = int(self.server[user]), int(self.channel[user])
         if s != LOCAL:
-            self._slots[s, j] = LOCAL
+            self._slots[s][j] = LOCAL
         self.server[user] = LOCAL
         self.channel[user] = LOCAL
 
@@ -211,7 +214,7 @@ class OffloadingDecision:
             raise InfeasibleDecisionError(
                 f"slot ({server}, {channel}) out of range"
             )
-        occupant = int(self._slots[server, channel])
+        occupant = self._slots[server][channel]
         if occupant not in (LOCAL, user):
             raise InfeasibleDecisionError(
                 f"slot ({server}, {channel}) already held by user {occupant}"
@@ -219,7 +222,7 @@ class OffloadingDecision:
         self.set_local(user)
         self.server[user] = server
         self.channel[user] = channel
-        self._slots[server, channel] = user
+        self._slots[server][channel] = int(user)
 
     def displace_and_assign(self, user: int, server: int, channel: int) -> Optional[int]:
         """Assign ``user`` to a slot, bumping any occupant to local.
@@ -228,7 +231,7 @@ class OffloadingDecision:
         free.  This realises Algorithm 2's "allocate one randomly if none
         are free" while preserving feasibility.
         """
-        occupant = int(self._slots[server, channel])
+        occupant = self._slots[server][channel]
         displaced: Optional[int] = None
         if occupant not in (LOCAL, user):
             self.set_local(occupant)
@@ -295,7 +298,7 @@ class OffloadingDecision:
         clone.n_channels = self.n_channels
         clone.server = self.server.copy()
         clone.channel = self.channel.copy()
-        clone._slots = self._slots.copy()
+        clone._slots = [row[:] for row in self._slots]
         return clone
 
     def __eq__(self, other: object) -> bool:

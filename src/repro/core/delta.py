@@ -15,7 +15,9 @@ whole ``O(U·S·N)`` link-stats computation from scratch.
 
 and on the next call recomputes only what a move can change: the SINR of
 users sharing a touched sub-band, the occupancy buckets of those bands,
-and the affected users' objective terms.
+and the affected users' objective terms.  hJTORA's steepest-ascent round
+scores every placement of one user at a time; :meth:`evaluate_placements`
+scores all of them in one what-if pass that never applies a candidate.
 
 Bitwise contract
 ----------------
@@ -59,14 +61,17 @@ rejected proposal still updates the cache, so the annealer passes the
 union of the new move's touched set and the rejected move's).  Passing
 ``touched=None`` falls back to an ``O(U)`` vector diff, which makes the
 evaluator a safe drop-in for any caller, including the baselines'
-scratch-array loops.
+scratch-array loops.  :meth:`evaluate_placements` takes the same
+``touched`` hint; since it applies no candidate, the cache afterwards
+holds the vectors it was handed, and the next call's hint covers only
+what the caller changed since.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import insort
-from typing import Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -130,8 +135,9 @@ class DeltaEvaluator(ObjectiveEvaluator):
         self._channel_list: List[int] = [LOCAL] * n_users
         #: Occupants of each sub-band, kept sorted ascending (invariant 1).
         self._band_users: List[List[int]] = [[] for _ in range(n_subbands)]
-        #: Current received-power row of each offloaded user.
-        self._rx_rows: List[Optional[List[float]]] = [None] * n_users
+        #: Current received-power row of each offloaded user (empty until
+        #: a user first offloads; rows are replaced, never mutated).
+        self._rx_rows: List[List[float]] = [[] for _ in range(n_users)]
         self._total_rx = (
             [list(row) for row in self._external_rows]
             if self._external_rows is not None
@@ -163,9 +169,128 @@ class DeltaEvaluator(ObjectiveEvaluator):
         ``None`` diffs the full vectors instead.
         """
         self.evaluations += 1
+        self._sync(server_of_user, channel_of_user, touched, 1)
+        return self._value()
+
+    def evaluate_placements(
+        self,
+        server_of_user: np.ndarray,
+        channel_of_user: np.ndarray,
+        user: int,
+        slots: Sequence[Tuple[int, int]],
+        touched: Optional[Iterable[int]] = None,
+    ) -> List[float]:
+        """``J*(X)`` (Eq. 24) of each candidate that moves ``user`` to a slot.
+
+        What-if kernel: the cache is synced to the vectors through
+        ``touched`` (as in :meth:`evaluate_assignment`), then no candidate
+        is ever applied, so the cache still holds the vectors' assignment
+        afterwards.  The work shared by a user's candidates is done once:
+
+        * ``user`` is detached from its own band once; every candidate
+          that leaves that band (revoke included) shares the detached
+          occupants' terms;
+        * per target band, the bucket is rebuilt once with ``user``'s
+          row inserted in ascending-user order (invariant 1), and the
+          occupants' SINRs plus ``user``'s SINR at each target server go
+          through one ``np.log2`` call; a move to another server on
+          ``user``'s own band keeps that band's bucket and the other
+          occupants' terms as they are;
+        * one KKT ``bincount`` per target server.
+
+        Each candidate then writes ``user``'s net term into its band's
+        scratch copy of the net array and reduces it with the pairwise
+        ``np.add.reduce`` (invariant 3).
+        """
+        n_slots = len(slots)
+        self.evaluations += n_slots
+        self._sync(server_of_user, channel_of_user, touched, n_slots)
+        values = [0.0] * n_slots
+        if not n_slots:
+            return values
+        u = int(user)
+        home_server, home_band = self._server_list[u], self._channel_list[u]
+        # Candidate indices by target band; revokes apart.
+        revokes: List[int] = []
+        by_band: Dict[int, List[int]] = {}
+        for i, (s, j) in enumerate(slots):
+            if s == LOCAL:
+                revokes.append(i)
+            else:
+                by_band.setdefault(j, []).append(i)
+        kkt: Dict[int, float] = {}  # KKT cost by target server
+        n_dead_rest = self._n_dead - (1 if self._dead[u] else 0)
+        # The state with ``user`` local: its own band loses its row.
+        detached = self._net.copy()
+        detached[u] = 0.0
+        dead_detached = n_dead_rest
+        if home_server != LOCAL:
+            others = [v for v in self._band_users[home_band] if v != u]
+            # Same-band moves keep the current bucket: user's row on its
+            # band does not depend on the server.
+            same_band = by_band.pop(home_band, [])
+            rx_rows = self._rx_rows
+            se = self._placement_se(
+                others,
+                self._bucket(home_band, others),
+                [slots[i][0] for i in same_band],
+                rx_rows[u],
+                self._total_rx[home_band],
+            )
+            dead_detached += self._write_terms(detached, others, se)
+            self._score(
+                values, slots, same_band, u, se[len(others):],
+                self._net.copy(), n_dead_rest, kkt,
+            )
+        offloaded_rest = self._n_offloaded - (0 if home_server == LOCAL else 1)
+        for i in revokes:
+            if offloaded_rest == 0:
+                values[i] = 0.0
+            elif dead_detached:
+                values[i] = float("-inf")
+            else:
+                if LOCAL not in kkt:
+                    kkt[LOCAL] = self._kkt_cost(u, LOCAL)
+                values[i] = float(np.add.reduce(detached)) - kkt[LOCAL]
+        n_servers = self._n_servers
+        p = self._p_list[u]
+        for band in sorted(by_band):
+            candidates = by_band[band]
+            occupants = self._band_users[band]
+            start = band * n_servers
+            row = [g * p for g in self._gain_rows[u][start:start + n_servers]]
+            members = list(occupants)
+            insort(members, u)
+            # The bucket sum reads user's row on this band from the cache;
+            # its own row goes back right after.
+            rx_rows = self._rx_rows
+            own_row, rx_rows[u] = rx_rows[u], row
+            bucket = self._bucket(band, members)
+            rx_rows[u] = own_row
+            se = self._placement_se(
+                occupants, bucket, [slots[i][0] for i in candidates], row, bucket
+            )
+            moved = detached.copy()
+            dead = dead_detached + self._write_terms(moved, occupants, se)
+            self._score(
+                values, slots, candidates, u, se[len(occupants):], moved, dead, kkt
+            )
+        return values
+
+    # --- Internals ---------------------------------------------------------
+
+    def _sync(
+        self,
+        server_of_user: np.ndarray,
+        channel_of_user: np.ndarray,
+        touched: Optional[Iterable[int]],
+        n_evals: int,
+    ) -> None:
+        """Bring the cache to the vectors' assignment, counting ``n_evals``
+        evaluations on the touched-set (fast) or vector-diff (full) lane."""
         server_list, channel_list = self._server_list, self._channel_list
         if touched is None:
-            self.full_evals += 1
+            self.full_evals += n_evals
             server = np.asarray(server_of_user)
             channel = np.asarray(channel_of_user)
             diff = np.flatnonzero(
@@ -176,7 +301,7 @@ class DeltaEvaluator(ObjectiveEvaluator):
                 (int(u), int(server[u]), int(channel[u])) for u in diff
             ]
         else:
-            self.fast_evals += 1
+            self.fast_evals += n_evals
             server, channel = server_of_user, channel_of_user
             changed = []
             seen: List[int] = []
@@ -190,7 +315,6 @@ class DeltaEvaluator(ObjectiveEvaluator):
                     changed.append((u, new_server, new_channel))
         if changed:
             self._apply(changed)
-        return self._value()
 
     def evaluate_move(
         self, decision: OffloadingDecision, touched: Iterable[int] = ()
@@ -217,8 +341,6 @@ class DeltaEvaluator(ObjectiveEvaluator):
         if changed:
             self._apply(changed)
         return self._value()
-
-    # --- Internals ---------------------------------------------------------
 
     def _apply(self, changed: List[Tuple[int, int, int]]) -> None:
         server_list, channel_list = self._server_list, self._channel_list
@@ -268,30 +390,108 @@ class DeltaEvaluator(ObjectiveEvaluator):
         # np.add.at accumulates in on the full path (invariant 1).  Bands
         # are visited in sorted order: each bucket is rebuilt independently,
         # so the order cannot change values, only make it deterministic.
-        total_rx = self._total_rx
-        external_rows = self._external_rows
         affected: List[int] = []
         for band in sorted(bands):
             occupants = self._band_users[band]
-            if occupants:
-                first = iter(occupants)
-                bucket = list(rx_rows[next(first)])
-                for u in first:
-                    row = rx_rows[u]
-                    for s, value in enumerate(row):
-                        bucket[s] += value
-                if external_rows is not None:
-                    for s, value in enumerate(external_rows[band]):
-                        bucket[s] += value
-                total_rx[band] = bucket
-                affected.extend(occupants)
-            elif external_rows is not None:
-                # An empty band holds only the frozen external power.
-                total_rx[band] = list(external_rows[band])
-            else:
-                total_rx[band] = [0.0] * len(total_rx[band])
+            self._total_rx[band] = self._bucket(band, occupants)
+            affected.extend(occupants)
         if affected:
             self._refresh(affected)
+
+    def _bucket(self, band: int, members: List[int]) -> List[float]:
+        """Total received power per server on ``band`` (invariant 1).
+
+        The rx rows of ``members`` (ascending user indices) are summed in
+        that order, then the band's external row is added; an empty band
+        holds only the external row (or zeros).
+        """
+        external_rows = self._external_rows
+        if not members:
+            if external_rows is None:
+                return [0.0] * self._n_servers
+            return list(external_rows[band])
+        rx_rows = self._rx_rows
+        first = iter(members)
+        bucket = list(rx_rows[next(first)])
+        for v in first:
+            for s, value in enumerate(rx_rows[v]):
+                bucket[s] += value
+        if external_rows is not None:
+            for s, value in enumerate(external_rows[band]):
+                bucket[s] += value
+        return bucket
+
+    def _placement_se(
+        self,
+        occupants: List[int],
+        bucket: List[float],
+        servers: List[int],
+        row: List[float],
+        user_bucket: List[float],
+    ) -> List[float]:
+        """Spectral efficiencies of ``occupants`` under ``bucket``, then of
+        a user with rx ``row`` at each of ``servers`` under
+        ``user_bucket``, through one ``np.log2`` call (invariant 2)."""
+        server_list, signal_list = self._server_list, self._signal
+        noise = self._noise
+        sinr = [0.0] * (len(occupants) + len(servers))
+        for k, v in enumerate(occupants):
+            sig = signal_list[v]
+            interference = bucket[server_list[v]] - sig
+            if interference <= 0.0:  # matches np.maximum(x, 0.0)
+                interference = 0.0
+            sinr[k] = sig / (interference + noise)
+        for k, s in enumerate(servers, len(occupants)):
+            sig = row[s]
+            interference = user_bucket[s] - sig
+            if interference <= 0.0:
+                interference = 0.0
+            sinr[k] = sig / (interference + noise)
+        se: List[float] = np.log2(1.0 + np.array(sinr)).tolist()
+        return se
+
+    def _write_terms(self, net: np.ndarray, occupants: List[int], se: List[float]) -> int:
+        """Write ``occupants``' net terms for spectral efficiencies ``se``
+        into the scratch array ``net``; return the change in the dead
+        count.  A user left dead keeps its stale entry: any candidate with
+        a dead user scores ``-inf`` without reducing."""
+        dead = self._dead
+        gain_list, comm_list = self._gain_list, self._comm_list
+        change = 0
+        for v, se_v in zip(occupants, se):
+            if se_v > 0.0:
+                net[v] = gain_list[v] - comm_list[v] / se_v
+                if dead[v]:
+                    change -= 1
+            elif not dead[v]:
+                change += 1
+        return change
+
+    def _score(
+        self,
+        values: List[float],
+        slots: Sequence[Tuple[int, int]],
+        candidates: List[int],
+        user: int,
+        se: List[float],
+        net: np.ndarray,
+        n_dead: int,
+        kkt: Dict[int, float],
+    ) -> None:
+        """Score the candidates that place ``user`` on one band: ``se`` is
+        its spectral efficiency at each, ``net`` and ``n_dead`` the band's
+        state without its own term, ``kkt`` the memo of KKT costs by
+        target server."""
+        gain, comm = self._gain_list[user], self._comm_list[user]
+        for i, se_u in zip(candidates, se):
+            if n_dead or se_u <= 0.0:
+                values[i] = float("-inf")
+                continue
+            net[user] = gain - comm / se_u
+            server = slots[i][0]
+            if server not in kkt:
+                kkt[server] = self._kkt_cost(user, server)
+            values[i] = float(np.add.reduce(net)) - kkt[server]
 
     def _refresh(self, affected: List[int]) -> None:
         """Recompute SINR-dependent terms for users on touched bands.
@@ -343,11 +543,25 @@ class DeltaEvaluator(ObjectiveEvaluator):
         # KKT cost is recomputed from the same masked arrays whenever
         # they changed, so caching it across channel-only moves is exact.
         if self._kkt_dirty:
-            root_sums = np.bincount(
-                self._idx, weights=self._w, minlength=self._n_servers
-            )
-            self._lambda_cost = float(
-                np.add.reduce(root_sums * root_sums / self._cpu_hz)
-            )
+            self._lambda_cost = self._kkt_cost()
             self._kkt_dirty = False
         return float(np.add.reduce(self._net)) - self._lambda_cost
+
+    def _kkt_cost(self, user: int = LOCAL, server: int = LOCAL) -> float:
+        """``Lambda(X, F*)`` (Eq. 23) over the masked KKT inputs.
+
+        With ``user`` given, the cost of the assignment that moves it to
+        ``server`` (``LOCAL``: local execution); the inputs are restored
+        before returning.
+        """
+        w, idx = self._w, self._idx
+        if user != LOCAL:
+            saved_w, saved_idx = w[user], idx[user]
+            if server == LOCAL:
+                w[user], idx[user] = 0.0, 0
+            else:
+                w[user], idx[user] = self._sqrt_eta_list[user], server
+        root_sums = np.bincount(idx, weights=w, minlength=self._n_servers)
+        if user != LOCAL:
+            w[user], idx[user] = saved_w, saved_idx
+        return float(np.add.reduce(root_sums * root_sums / self._cpu_hz))

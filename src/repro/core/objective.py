@@ -28,7 +28,7 @@ Three evaluation paths are provided and kept consistent (property-tested):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,6 +161,34 @@ class ObjectiveEvaluator:
     def evaluate(self, decision: OffloadingDecision) -> float:
         """``J*(X)`` (Eq. 24) for a decision object."""
         return self.evaluate_assignment(decision.server, decision.channel)
+
+    def evaluate_placements(
+        self,
+        server_of_user: np.ndarray,
+        channel_of_user: np.ndarray,
+        user: int,
+        slots: Sequence[Tuple[int, int]],
+        touched: Optional[Iterable[int]] = None,
+    ) -> List[float]:
+        """``J*(X)`` (Eq. 24) of each candidate that moves ``user`` to a slot.
+
+        ``slots`` holds ``(server, sub-band)`` pairs, ``(LOCAL, LOCAL)``
+        meaning revoke; one evaluation is counted per slot.  The scalar
+        reference probes each candidate in full: it writes the slot into
+        the vectors, scores them with :meth:`evaluate_assignment` and
+        restores ``user``'s entries.  ``touched`` is the incremental
+        evaluator's sync hint; the full rescore needs none.
+        """
+        del touched
+        old_server, old_channel = server_of_user[user], channel_of_user[user]
+        values: List[float] = []
+        try:
+            for server, channel in slots:
+                server_of_user[user], channel_of_user[user] = server, channel
+                values.append(self.evaluate_assignment(server_of_user, channel_of_user))
+        finally:
+            server_of_user[user], channel_of_user[user] = old_server, old_channel
+        return values
 
     # --- Explicit path (Eq. 8-11) --------------------------------------------
 

@@ -36,6 +36,7 @@ from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import ScheduleResult, TsajsScheduler
 from repro.errors import ConfigurationError
 from repro.net.sinr import compute_link_stats
+from repro.obs.clock import Stopwatch
 from repro.sim.rng import make_rng
 from repro.sim.scenario import Scenario
 from repro.tasks.device import UserDevice
@@ -279,8 +280,10 @@ class TsajsWithPowerControl:
         """Alternate TSAJS and power best-response for ``rounds`` rounds.
 
         The result's ``evaluations`` and ``accepted_moves`` sum over all
-        TSAJS rounds.
+        TSAJS rounds, and its ``wall_time_s`` spans the whole call (every
+        TSAJS round and power pass).
         """
+        watch = Stopwatch()
         rng = rng if rng is not None else make_rng()
         current = scenario
         history: List[float] = []
@@ -309,7 +312,7 @@ class TsajsWithPowerControl:
             allocation=result.allocation,
             utility=history[-1],
             evaluations=evaluations,
-            wall_time_s=result.wall_time_s,
+            wall_time_s=watch.elapsed(),
             trace=result.trace,
             accepted_moves=accepted_moves,
         )

@@ -40,7 +40,9 @@ from repro.lint.rules_base import Rule
 #: Evaluator methods that mutate internal state when called.
 MUTATING_EVALUATOR_METHODS = {
     "evaluate",
+    "evaluate_assignment",
     "evaluate_move",
+    "evaluate_placements",
     "commit",
     "rebuild",
     "stage",

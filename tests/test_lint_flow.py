@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint import lint_paths
 from repro.lint.engine import Project, _collect_files, _parse
 from repro.lint.flow import analyze_project
@@ -573,6 +575,29 @@ class TestR012TelemetryPurity:
         findings = _flow_findings(root, "R012")
         assert len(findings) == 1
         assert "evaluate" in findings[0].message
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "evaluator.evaluate_assignment(server, channel)",
+            "evaluator.evaluate_placements(server, channel, 0, [(0, 0)])",
+        ],
+        ids=["evaluate_assignment", "evaluate_placements"],
+    )
+    def test_scoring_call_in_emission_fires(self, tmp_path, call):
+        # DeltaEvaluator syncs its cache on both: scoring is a mutation.
+        root = _fixture_root(tmp_path)
+        _write(
+            root,
+            "repro/core/score.py",
+            "from repro.obs.recorder import get_recorder\n"
+            "def f(evaluator, server, channel):\n"
+            "    rec = get_recorder()\n"
+            f"    rec.gauge_set('objective', {call})\n",
+        )
+        findings = _flow_findings(root, "R012")
+        assert len(findings) == 1
+        assert call.split("(")[0].split(".")[1] in findings[0].message
 
     def test_precomputed_emission_is_clean(self, tmp_path):
         root = _fixture_root(tmp_path)

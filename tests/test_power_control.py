@@ -8,6 +8,7 @@ from repro.core.decision import OffloadingDecision
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.scheduler import ScheduleResult, Scheduler, TsajsScheduler
 from repro.errors import ConfigurationError
+from repro.obs.clock import TickClock, set_default_clock
 from repro.extensions.power_control import (
     TsajsWithPowerControl,
     optimize_powers,
@@ -187,6 +188,28 @@ class TestTsajsWithPowerControl:
         assert joint.evaluations == sum(r.evaluations for r in rounds)
         assert joint.accepted_moves == sum(r.accepted_moves for r in rounds)
         assert joint.accepted_moves > 0
+
+    def test_wall_time_spans_every_round(self, small_random_scenario):
+        """wall_time_s covers the whole call: on a TickClock it is the
+        span from the call's first clock read to its last."""
+
+        class CountingClock(TickClock):
+            reads = 0
+
+            def now(self):
+                self.reads += 1
+                return super().now()
+
+        clock = CountingClock(step=1.0)
+        previous = set_default_clock(clock)
+        try:
+            joint = TsajsWithPowerControl(schedule=QUICK, rounds=2).schedule(
+                small_random_scenario, np.random.default_rng(4)
+            )
+        finally:
+            set_default_clock(previous)
+        assert clock.reads > 2
+        assert joint.wall_time_s == clock.reads - 1
 
     def test_scenario_in_result_has_tuned_powers(self, small_random_scenario):
         joint = TsajsWithPowerControl(schedule=QUICK, rounds=1).schedule_joint(
